@@ -169,16 +169,24 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     let hp = h_partition(view, d)?;
     let mut stats = hp.stats;
 
+    // One ascending edge pass sorts every edge into its place: the
+    // intra-set edges, and per stage i the crossing edges whose lower
+    // endpoint lies in H_i.
+    let mut same: Vec<EdgeId> = Vec::new();
+    let mut crossing_by_stage: Vec<Vec<EdgeId>> = vec![Vec::new(); hp.num_sets];
+    for e in (0..view.num_edges()).map(EdgeId::new) {
+        let [u, v] = view.endpoints(e);
+        let (hu, hv) = (hp.index[u.index()], hp.index[v.index()]);
+        if hu == hv {
+            same.push(e);
+        } else {
+            crossing_by_stage[hu.min(hv)].push(e);
+        }
+    }
+
     // Intra-set edges: the union of the vertex-disjoint G(H_i) has degree
     // ≤ d; one star-partition stage colors it with ≤ 4d + 1 colors. The
     // class rides a borrowed view of the root — never a spanning copy.
-    let same: Vec<EdgeId> = (0..view.num_edges())
-        .map(EdgeId::new)
-        .filter(|&e| {
-            let [u, v] = view.endpoints(e);
-            hp.index[u.index()] == hp.index[v.index()]
-        })
-        .collect();
     let mut edge_colors: Vec<Option<Color>> = vec![None; view.num_edges()];
     let mut intra_palette = 1u64;
     if !same.is_empty() {
@@ -207,22 +215,12 @@ pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
     // H_1"): stage i colors the edges between H_i and the later sets.
     let palette = intra_palette.max(delta + num::to_u64(d));
     let mut net = Network::new(view);
-    if hp.num_sets >= 2 {
-        for i in (0..hp.num_sets - 1).rev() {
-            let in_a: Vec<bool> = hp.index.iter().map(|&h| h == i).collect();
-            let crossing: Vec<EdgeId> = (0..view.num_edges())
-                .map(EdgeId::new)
-                .filter(|&e| {
-                    let [u, v] = view.endpoints(e);
-                    let (hu, hv) = (hp.index[u.index()], hp.index[v.index()]);
-                    hu.min(hv) == i && hu != hv
-                })
-                .collect();
-            if crossing.is_empty() {
-                continue;
-            }
-            color_crossing_edges(&mut net, &in_a, &mut edge_colors, &crossing, palette)?;
+    for (i, crossing) in crossing_by_stage.iter().enumerate().rev() {
+        if crossing.is_empty() {
+            continue;
         }
+        let in_a: Vec<bool> = hp.index.iter().map(|&h| h == i).collect();
+        color_crossing_edges(&mut net, &in_a, &mut edge_colors, crossing, palette)?;
     }
     stats = stats.then(net.stats());
 

@@ -86,6 +86,22 @@ impl PaletteSet {
         }
     }
 
+    /// Re-arms the set as a copy of `other` (same limit, same marks),
+    /// copying only the words in use and reusing this set's spill buffer.
+    pub fn copy_from(&mut self, other: &PaletteSet) {
+        self.limit = other.limit;
+        self.words_in_use = other.words_in_use;
+        let words = other.words();
+        if words.len() <= INLINE_WORDS {
+            self.inline[..words.len()].copy_from_slice(words);
+        } else {
+            if self.spill.len() < words.len() {
+                self.spill.resize(words.len(), 0);
+            }
+            self.spill[..words.len()].copy_from_slice(words);
+        }
+    }
+
     /// The limit this set is currently armed for.
     pub fn limit(&self) -> u64 {
         self.limit
@@ -274,6 +290,28 @@ mod tests {
             mark(1);
         });
         assert_eq!(got, None);
+    }
+
+    #[test]
+    fn copy_from_clones_limit_and_marks() {
+        for limit in [70, INLINE_COLORS + 70] {
+            let mut src = PaletteSet::new();
+            src.reset(limit);
+            for c in (0..limit).filter(|&c| c != limit - 5) {
+                src.insert(c);
+            }
+            // A stale, differently armed destination.
+            let mut dst = PaletteSet::new();
+            dst.reset(3);
+            dst.insert(0);
+            dst.copy_from(&src);
+            assert_eq!(dst.limit(), limit);
+            assert_eq!(dst.mex(), Some(limit - 5));
+            // The copy is independent of its source.
+            dst.insert(limit - 5);
+            assert_eq!(dst.mex(), None);
+            assert_eq!(src.mex(), Some(limit - 5));
+        }
     }
 
     #[test]

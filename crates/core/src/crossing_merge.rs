@@ -14,17 +14,19 @@
 //! orientation connector) with `deg_A + deg_B − 1` colors in `deg_A`
 //! rounds — the primitive Theorem 5.4 invokes at every level.
 
+use std::ops::Range;
+
 use decolor_graph::coloring::{Color, EdgeColoring};
 use decolor_graph::subgraph::GraphView;
-use decolor_graph::{num, EdgeId, Graph};
+use decolor_graph::{EdgeId, Graph, VertexId};
 use decolor_runtime::{Network, NetworkStats};
 use rayon::prelude::*;
 
+use crate::bitset::PaletteSet;
 use crate::error::AlgoError;
 
 /// Colors `crossing` edges of `net.graph()` into `edge_colors`, given that
-/// each crossing edge has exactly one endpoint with `in_a[v] == true` and
-/// each `A`-vertex has at most `max_label` crossing edges.
+/// each crossing edge has exactly one endpoint with `in_a[v] == true`.
 ///
 /// Already-colored edges (`Some`) constrain the greedy choices; the
 /// routine never recolors them. Costs exactly `max(labels used)` rounds.
@@ -43,42 +45,58 @@ pub fn color_crossing_edges<V: GraphView + Sync>(
     palette: u64,
 ) -> Result<(), AlgoError> {
     let g = net.graph();
-    let palette_len = num::to_usize(palette)?;
     if in_a.len() != g.num_vertices() || edge_colors.len() != g.num_edges() {
         return Err(AlgoError::InvalidParameters {
             reason: "in_a / edge_colors shape mismatch".into(),
         });
     }
-    // Each A-vertex labels its crossing edges 1, 2, … (local, O(1)).
-    let mut label = vec![0usize; g.num_edges()];
+    // Each A-vertex labels its crossing edges 1, 2, … (local, O(1));
+    // `by_label[i]` holds the label-(i + 1) edges as (B endpoint, edge),
+    // in `crossing` order.
     let mut next_label = vec![0usize; g.num_vertices()];
-    let mut max_label = 0usize;
+    let mut endpoint = vec![false; g.num_vertices()];
+    let mut by_label: Vec<Vec<(VertexId, EdgeId)>> = Vec::new();
     for &e in crossing {
         let [u, v] = g.endpoints(e);
-        let a = match (in_a[u.index()], in_a[v.index()]) {
-            (true, false) => u,
-            (false, true) => v,
+        let (a, b) = match (in_a[u.index()], in_a[v.index()]) {
+            (true, false) => (u, v),
+            (false, true) => (v, u),
             _ => {
                 return Err(AlgoError::InvalidParameters {
                     reason: format!("edge {e} does not cross the (A, B) partition"),
                 })
             }
         };
+        endpoint[a.index()] = true;
+        endpoint[b.index()] = true;
+        let label = next_label[a.index()];
         next_label[a.index()] += 1;
-        label[e.index()] = next_label[a.index()];
-        max_label = max_label.max(next_label[a.index()]);
+        if label == by_label.len() {
+            by_label.push(Vec::new());
+        }
+        by_label[label].push((b, e));
+    }
+    // Group each label class by B endpoint once: the stable sort keeps
+    // `crossing` order within a group.
+    for class in &mut by_label {
+        class.sort_by_key(|&(b, _)| b.index());
     }
 
-    // Incident-color lists are built once and patched incrementally as
-    // edges get colored; every label round broadcasts them through one
-    // reusable flat buffer (no per-round Vec-of-Vec rebuild). The greedy
-    // mex only consumes the *multiset* of incident colors, so appending
-    // newly assigned colors (instead of keeping port order) leaves every
-    // decision identical.
+    // The incident-color lists of the crossing edges' endpoints are built
+    // once and patched as edges get colored; every label round broadcasts
+    // them by reference. No other vertex's list is ever read, so those
+    // stay empty (the ledger charges a message by its type, not its
+    // contents). The greedy mex only consumes the *set* of incident
+    // colors, so appending newly assigned colors (instead of keeping port
+    // order) leaves every decision identical.
     let mut incident: Vec<Vec<Color>> = (0..g.num_vertices())
         .map(|v| {
-            let mut row = Vec::new();
-            g.for_each_incident_edge(decolor_graph::VertexId::new(v), |e| {
+            if !endpoint[v] {
+                return Vec::new();
+            }
+            let v = VertexId::new(v);
+            let mut row = Vec::with_capacity(g.degree(v));
+            g.for_each_incident_edge(v, |e| {
                 if let Some(c) = edge_colors[e.index()] {
                     row.push(c);
                 }
@@ -86,90 +104,90 @@ pub fn color_crossing_edges<V: GraphView + Sync>(
             row
         })
         .collect();
-    let mut buf = net.make_buffer::<Vec<Color>>();
-    for round in 1..=max_label {
+    let mut active: Vec<(VertexId, EdgeId)> = Vec::new();
+    for class in &by_label {
+        active.clear();
+        active.extend(
+            class
+                .iter()
+                .filter(|&&(_, e)| edge_colors[e.index()].is_none()),
+        );
         // One round: both endpoints of every edge exchange their current
         // incident colors (LOCAL messages are unbounded).
-        net.broadcast_into(&incident, &mut buf)?;
-        // Group this round's active edges by their B endpoint, keeping
-        // `crossing` order within each group. Active edges of one round
-        // are vertex-disjoint except at shared B endpoints (labels are
-        // distinct at each A-vertex, and A/B sides never mix), so the
-        // groups are **independent**: the per-B-vertex greedy fans out on
-        // the worker pool — the LOCAL model's "every B-vertex decides
-        // simultaneously" — with decisions identical to the sequential
-        // sweep at any pool size. The receiving port of each active edge
-        // is resolved before the fan-out (the lazy port table is not
-        // shareable across workers).
-        // lint: allow(determinism, "entry()-only first-occurrence numbering over the deterministic crossing scan; the map is never iterated, group order comes from the push order")
-        let mut group_of: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
-        for &e in crossing {
-            if label[e.index()] != round || edge_colors[e.index()].is_some() {
-                continue;
-            }
-            let [u, v] = g.endpoints(e);
-            let b = if in_a[u.index()] { v } else { u };
-            let pb = net.port_of(b, e)?;
-            // lint: allow(cast, "vertex ids fit u32 by the builder's id-width invariant")
-            let gi = *group_of.entry(b.index() as u32).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push((e.index(), pb));
-        }
-        let outcomes: Vec<Result<Vec<(usize, Color)>, AlgoError>> = groups
+        let round = net.broadcast_view(&incident)?;
+        // Active edges of one round are vertex-disjoint except at shared
+        // B endpoints (labels are distinct at each A-vertex, and A/B
+        // sides never mix), so the B-groups are **independent**: the
+        // per-B-vertex greedy fans out on the worker pool — the LOCAL
+        // model's "every B-vertex decides simultaneously" — with
+        // decisions identical to the sequential sweep at any pool size.
+        let pieces = split_at_groups(&active, rayon::current_num_threads());
+        let outcomes: Vec<Result<Vec<Color>, AlgoError>> = pieces
             .par_iter()
-            .map(|edges| {
-                // Within one B-vertex, its active edges are handled
-                // sequentially (a single processor).
-                let mut assigned: Vec<(usize, Color)> = Vec::with_capacity(edges.len());
-                for &(ei, pb) in edges {
-                    let e = EdgeId::new(ei);
-                    let [u, v] = g.endpoints(e);
-                    let b = if in_a[u.index()] { v } else { u };
-                    let mut used = vec![false; palette_len];
-                    // Colors around b (local knowledge).
+            .map(|range| {
+                let mut around_b = PaletteSet::new();
+                let mut used = PaletteSet::new();
+                let mut assigned = Vec::with_capacity(range.len());
+                for group in active[range.clone()].chunk_by(|x, y| x.0 == y.0) {
+                    // A single processor per B-vertex: its colors (local
+                    // knowledge), then each of its active edges in turn.
+                    let b = group[0].0;
+                    around_b.reset(palette);
                     for &c in &incident[b.index()] {
-                        if u64::from(c) < palette {
-                            used[num::usize_from(c)] = true;
-                        }
+                        around_b.insert(u64::from(c));
                     }
-                    // Colors around a (received this round over edge e).
-                    for &c in buf.msg(b, pb) {
-                        if u64::from(c) < palette {
-                            used[num::usize_from(c)] = true;
+                    for &(_, e) in group {
+                        // Colors around a, received this round over e.
+                        used.copy_from(&around_b);
+                        for &c in round.across(b, e)? {
+                            used.insert(u64::from(c));
                         }
+                        let free = used
+                            .mex()
+                            .and_then(|c| Color::try_from(c).ok())
+                            .ok_or_else(|| AlgoError::InvariantViolated {
+                                reason: format!(
+                                    "palette {palette} exhausted at edge {e} (needs Δ + d − 1)"
+                                ),
+                            })?;
+                        // b's later edges this round must avoid it too.
+                        around_b.insert(u64::from(free));
+                        assigned.push(free);
                     }
-                    // Colors b already gave its other active edges this
-                    // round.
-                    for &(_, c) in &assigned {
-                        if u64::from(c) < palette {
-                            used[num::usize_from(c)] = true;
-                        }
-                    }
-                    let free = used.iter().position(|&t| !t).ok_or_else(|| {
-                        AlgoError::InvariantViolated {
-                            reason: format!(
-                                "palette {palette} exhausted at edge {e} (needs Δ + d − 1)"
-                            ),
-                        }
-                    })? as Color;
-                    assigned.push((ei, free));
                 }
                 Ok(assigned)
             })
             .collect();
+        let mut colors = Vec::with_capacity(active.len());
         for outcome in outcomes {
-            for (i, c) in outcome? {
-                edge_colors[i] = Some(c);
-                let [u, v] = g.endpoints(EdgeId::new(i));
-                incident[u.index()].push(c);
-                incident[v.index()].push(c);
-            }
+            colors.extend(outcome?);
+        }
+        for (&(_, e), c) in active.iter().zip(colors) {
+            edge_colors[e.index()] = Some(c);
+            let [u, v] = g.endpoints(e);
+            incident[u.index()].push(c);
+            incident[v.index()].push(c);
         }
     }
     Ok(())
+}
+
+/// Splits `active` (sorted by B endpoint) into at most `pieces`
+/// contiguous ranges of about equal length, cutting only between
+/// B-groups.
+fn split_at_groups(active: &[(VertexId, EdgeId)], pieces: usize) -> Vec<Range<usize>> {
+    let target = active.len().div_ceil(pieces.max(1)).max(1);
+    let mut ranges = Vec::with_capacity(pieces);
+    let mut start = 0;
+    while start < active.len() {
+        let mut end = (start + target).min(active.len());
+        while end < active.len() && active[end].0 == active[end - 1].0 {
+            end += 1;
+        }
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
 }
 
 /// The "empty-precoloring" specialization: colors **all** edges of a graph
@@ -312,6 +330,22 @@ mod tests {
             );
             assert_eq!(stats, ref_stats, "ledger diverges at {threads} threads");
         }
+    }
+
+    #[test]
+    fn split_at_groups_never_cuts_a_b_group() {
+        let v = VertexId::new;
+        let e = EdgeId::new;
+        // B-groups of sizes 1, 4, 1 (sorted by B endpoint).
+        let active: Vec<(VertexId, EdgeId)> = [0, 1, 1, 1, 1, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| (v(b), e(i)))
+            .collect();
+        assert_eq!(split_at_groups(&active, 3), vec![0..5, 5..6]);
+        assert_eq!(split_at_groups(&active, 1), vec![0..6]);
+        assert_eq!(split_at_groups(&active, 6), vec![0..1, 1..5, 5..6]);
+        assert!(split_at_groups(&[], 4).is_empty());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! and the one-sided specialization on its own.
 //!
 //! Each case folds the edge colors, the palette and the measured
-//! [`NetworkStats`] into one CRC32. The constants pin the outputs of the
-//! clone-per-port broadcast implementation the merge used before its
-//! zero-copy rewrite, so any change to a greedy decision, a palette or
-//! the message ledger fails here. Every case runs at pool widths 1 and 4.
+//! [`NetworkStats`] into one CRC32, so a change to any greedy decision,
+//! palette or message ledger fails here. The merge is a pure function of
+//! its input, so a faster implementation must leave every constant as
+//! it is. Every case runs at pool widths 1 and 4.
 
 use decolor_core::arboricity::{theorem52, theorem52_on, theorem53, theorem54};
 use decolor_core::crossing_merge::one_sided_edge_coloring;

@@ -141,17 +141,6 @@ impl<M> RoundBuffer<M> {
             .map(|(&p, s)| (num::usize_from(p), s))
     }
 
-    /// The `i`-th message delivered to `v` this round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.received(v)`.
-    #[inline]
-    pub fn msg(&self, v: VertexId, i: usize) -> &M {
-        assert!(i < self.len[v.index()], "message {i} not delivered to {v}");
-        &self.slots[self.offsets[v.index()] + i]
-    }
-
     /// The per-edge value pairs produced by the most recent
     /// [`Network::exchange_on_edges_into`](crate::Network::exchange_on_edges_into):
     /// `per_edge[e] = Some((value from lower endpoint, value from higher
@@ -200,8 +189,8 @@ impl<M> RoundBuffer<M> {
         self.touched_edges.push(e);
     }
 
-    /// Appends a message for vertex `u` with receiving-port tag `port`,
-    /// reusing the slot's previous allocation when possible.
+    /// Appends a copy of `message` for vertex `u` with receiving-port tag
+    /// `port`.
     ///
     /// # Errors
     ///
@@ -219,8 +208,6 @@ impl<M> RoundBuffer<M> {
             return Err(RuntimeError::InboxOverflow { vertex: u });
         }
         self.ports[base + k] = port;
-        // `clone_from` reuses the previous payload's allocation (for
-        // `M = Vec<_>` the capacity survives across rounds).
         self.slots[base + k].clone_from(message);
         self.len[u.index()] = k + 1;
         Ok(())

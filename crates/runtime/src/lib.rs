@@ -17,7 +17,10 @@
 //! Hot loops use the allocation-free flat-buffer entry points
 //! ([`Network::exchange_into`] / [`Network::broadcast_into`] over a
 //! reusable [`RoundBuffer`]); the `Vec`-returning forms remain as
-//! semantically identical wrappers.
+//! semantically identical wrappers. A broadcast of large messages of
+//! which only a few are read ([`Network::broadcast_view`]) is charged in
+//! full but delivered by reference, as a [`Broadcast`] borrow of the
+//! senders' values.
 //! Distributed algorithms in `decolor-core` are written against this
 //! interface, so their reported round counts are *measured*, not modelled
 //! (composite algorithms combine phase counts with [`Rounds`] using the
@@ -61,7 +64,7 @@ pub use buffer::RoundBuffer;
 pub use error::RuntimeError;
 pub use ids::IdAssignment;
 pub use metrics::{NetworkStats, Rounds};
-pub use network::Network;
+pub use network::{Broadcast, Network};
 
 /// The topology trait [`Network`] is generic over: `decolor_graph`'s
 /// [`GraphView`](decolor_graph::subgraph::GraphView), satisfied by a

@@ -28,7 +28,8 @@ use crate::metrics::NetworkStats;
 /// that needs receiving-port tags ([`Network::exchange_into`],
 /// [`Network::broadcast_on_active_into`], [`Network::port_of`]); the
 /// broadcast-only pipelines (Linial, the color reductions — i.e. the
-/// whole vertex-coloring subroutine) never allocate one.
+/// whole vertex-coloring subroutine — and the Lemma 5.1 crossing merges)
+/// never allocate one.
 ///
 /// Malformed traffic (out-of-range ports, over-full inboxes, foreign
 /// buffers) is reported as a [`RuntimeError`] instead of aborting the
@@ -241,6 +242,14 @@ impl<'g, V: GraphView> Network<'g, V> {
     /// so each payload is written straight into slot `p`; no per-vertex
     /// sort is involved.
     ///
+    /// This is the primitive for small messages that every receiver reads
+    /// in full — Linial and the color reductions send one scalar color
+    /// and scan every neighbor's — where the copy into a port-ordered row
+    /// costs no more than the lookup it replaces. A round whose messages
+    /// are large and read only on a few edges should use
+    /// [`Network::broadcast_view`], which charges the same but copies
+    /// nothing.
+    ///
     /// # Errors
     ///
     /// [`RuntimeError::ShapeMismatch`] if `values` does not have one entry
@@ -276,6 +285,64 @@ impl<'g, V: GraphView> Network<'g, V> {
         self.stats.messages += messages;
         self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
         Ok(())
+    }
+
+    /// One round in which every vertex sends `values[v]` on **all** its
+    /// ports, delivered **by reference**: the returned [`Broadcast`]
+    /// borrows `values`, and [`Broadcast::across`] yields the value a
+    /// vertex received across one of its edges. The ledger is charged
+    /// exactly what [`Network::broadcast_into`] charges (one round,
+    /// `Σ deg(v)` messages of `size_of::<M>()` bytes each), but no
+    /// payload is copied, so the round costs O(n) whatever the message
+    /// size.
+    ///
+    /// The borrow enforces the LOCAL model's snapshot semantics: the
+    /// senders' state cannot change while any receiver still reads the
+    /// round. This is the primitive for the Lemma 5.1 crossing merges,
+    /// whose messages are whole incident-color lists of which each round
+    /// reads one per active edge.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::ShapeMismatch`] if `values` does not have one entry
+    /// per vertex; the round is then not charged.
+    ///
+    /// ```rust
+    /// use decolor_graph::{builder_from_edges, EdgeId, VertexId};
+    /// use decolor_runtime::Network;
+    ///
+    /// let g = builder_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+    /// let mut net = Network::new(&g);
+    /// let lists = vec![vec![7u32], vec![8, 9], vec![]];
+    /// let round = net.broadcast_view(&lists).unwrap();
+    /// // Vertex 2 hears vertex 1's whole list across edge 1 (1, 2).
+    /// assert_eq!(round.across(VertexId::new(2), EdgeId::new(1)).unwrap(), &[8, 9]);
+    /// assert_eq!(net.stats().messages, 4); // charged as a full broadcast
+    /// ```
+    pub fn broadcast_view<'v, M>(
+        &mut self,
+        values: &'v [M],
+    ) -> Result<Broadcast<'v, V, M>, RuntimeError>
+    where
+        'g: 'v,
+    {
+        if values.len() != self.graph.num_vertices() {
+            return Err(RuntimeError::ShapeMismatch {
+                what: "values",
+                expected: self.graph.num_vertices(),
+                got: values.len(),
+            });
+        }
+        let messages: u64 = (0..self.graph.num_vertices())
+            .map(|v| num::to_u64(self.graph.degree(VertexId::new(v))))
+            .sum();
+        self.stats.rounds += 1;
+        self.stats.messages += messages;
+        self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
+        Ok(Broadcast {
+            graph: self.graph,
+            values,
+        })
     }
 
     /// One round in which every vertex sends `values[v]` on **all** its
@@ -395,11 +462,14 @@ impl<'g, V: GraphView> Network<'g, V> {
     /// `buf.per_edge()[e] = Some((value from lower endpoint, value from
     /// higher endpoint))` for edges in the subset, `None` elsewhere.
     ///
-    /// Useful for algorithms that activate a subset of edges per round
-    /// (Lemma 5.1's label classes). Unlike the [`Network::exchange_on_edges`]
-    /// wrapper, consecutive rounds on the same buffer cost
-    /// O(|previous subset| + |subset|) — the per-edge scratch is cleared
-    /// by activation list, not rebuilt at O(m).
+    /// The edge-subset counterpart of [`Network::exchange_into`]: only the
+    /// endpoints of the listed edges talk, and each pays one message per
+    /// listed edge. No pipeline calls it today (the Lemma 5.1 merges
+    /// broadcast to every neighbor, through [`Network::broadcast_view`]).
+    /// Unlike the [`Network::exchange_on_edges`] wrapper, consecutive
+    /// rounds on the same buffer cost O(|previous subset| + |subset|) —
+    /// the per-edge scratch is cleared by activation list, not rebuilt at
+    /// O(m).
     ///
     /// # Errors
     ///
@@ -488,6 +558,43 @@ impl<'g, V: GraphView> Network<'g, V> {
     /// recorded so far.
     pub fn absorb_sequential(&mut self, phase: NetworkStats) {
         self.stats = self.stats.then(phase);
+    }
+}
+
+/// The receiving side of one [`Network::broadcast_view`] round: every
+/// vertex's value, borrowed from the senders for as long as the round is
+/// read.
+#[derive(Debug)]
+pub struct Broadcast<'v, V, M> {
+    graph: &'v V,
+    values: &'v [M],
+}
+
+impl<'v, V: GraphView, M> Broadcast<'v, V, M> {
+    /// The message `v` received across edge `e` this round: the value of
+    /// `e`'s other endpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::EdgeOutOfRange`] if `e` is not an edge of the
+    /// topology; [`RuntimeError::NotAnEndpoint`] if `v` is not an
+    /// endpoint of `e`.
+    #[inline]
+    pub fn across(&self, v: VertexId, e: EdgeId) -> Result<&'v M, RuntimeError> {
+        if e.index() >= self.graph.num_edges() {
+            return Err(RuntimeError::EdgeOutOfRange {
+                edge: e.index(),
+                num_edges: self.graph.num_edges(),
+            });
+        }
+        let [lo, hi] = self.graph.endpoints(e);
+        if v == lo {
+            Ok(&self.values[hi.index()])
+        } else if v == hi {
+            Ok(&self.values[lo.index()])
+        } else {
+            Err(RuntimeError::NotAnEndpoint { vertex: v, edge: e })
+        }
     }
 }
 

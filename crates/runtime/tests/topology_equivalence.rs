@@ -2,13 +2,17 @@
 //! borrowed subgraph view and on the materialized subgraph the view
 //! stands for: same inboxes, same port tags, same port table answers,
 //! same [`NetworkStats`] ledger. This is the foundation the view-generic
-//! pipelines (CD-Coloring, Theorems 5.2–5.4) rest on.
+//! pipelines (CD-Coloring, Theorems 5.2–5.4) rest on. The zero-copy
+//! [`Network::broadcast_view`] must in turn match
+//! [`Network::broadcast_into`] on every topology, a memory-mapped
+//! `ShardedCsr` included.
 
+use decolor_graph::storage::ShardedCsr;
 use decolor_graph::subgraph::{
     EdgeSubgraphView, GraphView, InducedSubgraph, InducedSubgraphView, SpanningEdgeSubgraph,
 };
 use decolor_graph::{generators, EdgeId, Graph, VertexId};
-use decolor_runtime::Network;
+use decolor_runtime::{Network, NetworkStats, RuntimeError};
 use proptest::prelude::*;
 
 /// Collects every vertex's `(port, message)` inbox rows from a buffer.
@@ -135,4 +139,104 @@ fn full_view_is_the_graph() {
     net_v.broadcast_into(&values, &mut buf_v).unwrap();
     assert_eq!(rows(&net_g, &buf_g), rows(&net_v, &buf_v));
     assert_eq!(net_g.stats(), net_v.stats());
+}
+
+/// Per-vertex incident-list payloads of varying length, the shape the
+/// Lemma 5.1 crossing merges broadcast.
+fn list_values(n: usize, seed: u64) -> Vec<Vec<u32>> {
+    (0..n as u64)
+        .map(|v| {
+            (0..(v * 7 + seed) % 5)
+                .map(|i| (v * 31 + i) as u32)
+                .collect()
+        })
+        .collect()
+}
+
+/// `broadcast_view` charges what `broadcast_into` charges on the same
+/// topology, and for every vertex `v` and incident edge `e` yields the
+/// message `broadcast_into` delivers at `e`'s port of `v`. Returns the
+/// charged ledger.
+fn assert_view_matches_into<V: GraphView>(topo: &V, values: &[Vec<u32>]) -> NetworkStats {
+    let mut net_into = Network::new(topo);
+    let mut buf = net_into.make_buffer();
+    net_into.broadcast_into(values, &mut buf).unwrap();
+    let mut net_view = Network::new(topo);
+    let round = net_view.broadcast_view(values).unwrap();
+    assert_eq!(net_view.stats(), net_into.stats());
+    for v in (0..topo.num_vertices()).map(VertexId::new) {
+        let row: Vec<&Vec<u32>> = buf.row(v).collect();
+        let mut p = 0;
+        topo.for_each_port(v, |_, e| {
+            assert_eq!(round.across(v, e).unwrap(), row[p], "{v} across {e}");
+            p += 1;
+        });
+        assert_eq!(p, row.len());
+    }
+    net_view.stats()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The zero-copy broadcast agrees with the copying one on a whole
+    /// graph and on an edge view of it.
+    #[test]
+    fn broadcast_view_matches_broadcast_into(seed in 0u64..500, modulus in 2usize..5) {
+        let g = generators::gnm(40, 140, seed).unwrap();
+        let values = list_values(g.num_vertices(), seed);
+        let whole = assert_view_matches_into(&g, &values);
+        prop_assert_eq!(whole.messages, 2 * g.num_edges() as u64);
+        let class: Vec<EdgeId> = g.edges().filter(|e| e.index() % modulus == 0).collect();
+        let view = EdgeSubgraphView::new(&g, class).unwrap();
+        let part = assert_view_matches_into(&view, &values);
+        prop_assert_eq!(part.messages, 2 * view.num_edges() as u64);
+    }
+}
+
+/// The zero-copy broadcast over a memory-mapped `ShardedCsr` charges and
+/// delivers exactly what it does over the in-memory graph it stores.
+#[test]
+fn broadcast_view_over_sharded_csr_matches_graph() {
+    let g = generators::gnm(60, 200, 11).unwrap();
+    let dir = std::env::temp_dir().join(format!("decolor-runtime-view-{}", std::process::id()));
+    let sc = ShardedCsr::from_graph(&dir, &g).unwrap();
+    let values = list_values(g.num_vertices(), 3);
+    let on_disk = assert_view_matches_into(&sc, &values);
+    assert_eq!(on_disk, assert_view_matches_into(&g, &values));
+    drop(sc);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A mis-shaped `values` slice is rejected before the round is charged,
+/// and malformed queries are typed errors.
+#[test]
+fn broadcast_view_rejects_malformed_input() {
+    let g = decolor_graph::builder_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+    let mut net = Network::new(&g);
+    assert_eq!(
+        net.broadcast_view(&[1u32, 2]).err(),
+        Some(RuntimeError::ShapeMismatch {
+            what: "values",
+            expected: 3,
+            got: 2
+        })
+    );
+    assert_eq!(net.stats(), NetworkStats::default());
+    let round = net.broadcast_view(&[1u32, 2, 3]).unwrap();
+    assert_eq!(
+        round.across(VertexId::new(2), EdgeId::new(0)),
+        Err(RuntimeError::NotAnEndpoint {
+            vertex: VertexId::new(2),
+            edge: EdgeId::new(0)
+        })
+    );
+    assert_eq!(
+        round.across(VertexId::new(0), EdgeId::new(5)),
+        Err(RuntimeError::EdgeOutOfRange {
+            edge: 5,
+            num_edges: 2
+        })
+    );
+    assert_eq!(round.across(VertexId::new(0), EdgeId::new(0)), Ok(&2));
 }
