@@ -61,7 +61,11 @@ pub enum Seed<'a> {
 /// which is how CD-Coloring's leaves color a class of the recursion
 /// without materializing its induced subgraph, port table, or network.
 /// The whole pipeline (Linial + reduction) is broadcast-only, so the
-/// lazily-built port table of [`Network`] is never allocated.
+/// lazily-built port table of [`Network`] is never allocated, and every
+/// round is a zero-copy [`Network::broadcast_view`]: charged in full,
+/// read only by the vertices that decide in it (all of them in a Linial
+/// round, one color class per reduction round). Memory beyond the
+/// topology is O(n): two color arrays and the reductions' class index.
 ///
 /// # Errors
 ///

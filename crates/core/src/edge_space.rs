@@ -31,9 +31,10 @@ use decolor_graph::{EdgeId, Graph, VertexId};
 use decolor_runtime::NetworkStats;
 
 use crate::bitset::PaletteSet;
+use crate::class_index::ClassIndex;
 use crate::delta_plus_one::{ReductionStrategy, SubroutineConfig};
 use crate::error::AlgoError;
-use crate::linial::{choose_parameters, eval_poly, final_palette_bound};
+use crate::linial::{choose_parameters, final_palette_bound, recolor};
 use decolor_graph::num;
 
 /// Calls `f` with the current color of every L(G)-neighbor of `e` (edges
@@ -53,36 +54,6 @@ fn for_each_incident_color<V: GraphView>(g: &V, colors: &[u64], e: EdgeId, mut f
             f(colors[other.index()]);
         }
     });
-}
-
-/// Color-class buckets over the edge set, kept exact by moving each edge
-/// on recolor. `take(c)` drains a class in O(|class|).
-struct ClassIndex {
-    buckets: Vec<Vec<u32>>,
-}
-
-impl ClassIndex {
-    fn build(colors: &[u64], palette: u64) -> Self {
-        // lint: allow(cast, "palette ≤ m, an in-memory edge count that started as a usize")
-        let mut buckets = vec![Vec::new(); palette as usize];
-        for (e, &c) in colors.iter().enumerate() {
-            // lint: allow(cast, "c < palette ≤ m, and edge indices fit u32 workspace-wide (the CSR stores them as u32)")
-            buckets[c as usize].push(e as u32);
-        }
-        ClassIndex { buckets }
-    }
-
-    #[inline]
-    fn take(&mut self, color: u64) -> Vec<u32> {
-        // lint: allow(cast, "color < palette, the bucket count this index was built with")
-        std::mem::take(&mut self.buckets[color as usize])
-    }
-
-    #[inline]
-    fn put(&mut self, color: u64, e: u32) {
-        // lint: allow(cast, "color < palette, the bucket count this index was built with")
-        self.buckets[color as usize].push(e);
-    }
 }
 
 /// Computes a proper edge coloring of `g` with `target ≥ 2Δ − 1` colors
@@ -175,9 +146,10 @@ pub fn edge_coloring_direct_on<V: GraphView>(
     if delta_l > 0 {
         // Phase 1: Linial's iteration from the edge-index identifiers down
         // to the O(Δ_L²) fixed point. Every agent recolors each round, so
-        // the whole edge set gathers; a snapshot keeps rounds synchronous.
+        // the whole edge set gathers off the previous colors into a second
+        // buffer, and the two swap, which keeps rounds synchronous.
         let fixed = final_palette_bound(num::to_usize(delta_l)?);
-        let mut prev = colors.clone();
+        let mut next = vec![0u64; m];
         // Incident colors of the deciding edge, gathered once per edge
         // (not once per evaluation point) into a reused buffer.
         let mut neighborhood: Vec<u64> = Vec::new();
@@ -186,33 +158,14 @@ pub fn edge_coloring_direct_on<V: GraphView>(
             if q * q >= palette {
                 break; // fixed point reached early
             }
-            prev.copy_from_slice(&colors);
-            for e in (0..m).map(EdgeId::new) {
-                let my = prev[e.index()];
+            for (e, out) in next.iter_mut().enumerate() {
                 neighborhood.clear();
-                for_each_incident_color(g, &prev, e, |their| {
-                    // Neighbors with *equal* color would break properness
-                    // of the input (debug-checked); they never collide.
-                    debug_assert_ne!(their, my, "input coloring is not proper");
-                    if their != my {
-                        neighborhood.push(their);
-                    }
+                for_each_incident_color(g, &colors, EdgeId::new(e), |their| {
+                    neighborhood.push(their);
                 });
-                let mut alpha = None;
-                'points: for a in 0..q {
-                    let mine = eval_poly(my, q, a);
-                    for &their in &neighborhood {
-                        if eval_poly(their, q, a) == mine {
-                            continue 'points;
-                        }
-                    }
-                    alpha = Some(a);
-                    break;
-                }
-                // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
-                let a = alpha.expect("a valid evaluation point exists by the pigeonhole argument");
-                colors[e.index()] = a * q + eval_poly(my, q, a);
+                *out = recolor(colors[e], &neighborhood, q);
             }
+            std::mem::swap(&mut colors, &mut next);
             palette = q * q;
             stats = stats.then(round_cost);
         }
@@ -258,7 +211,8 @@ pub fn edge_coloring_direct_on<V: GraphView>(
 
 /// Basic reduction in edge space: one top color class per round, each
 /// class a matching in L(G)-adjacency terms, so its agents decide
-/// simultaneously and in place.
+/// simultaneously and in place. A recolored agent drops below `target`,
+/// where no later round looks, so one class index serves the cascade.
 fn basic_phase<V: GraphView>(
     g: &V,
     colors: &mut [u64],
@@ -271,7 +225,7 @@ fn basic_phase<V: GraphView>(
     if palette <= target {
         return palette.max(1);
     }
-    let mut classes = ClassIndex::build(colors, palette);
+    let mut classes = ClassIndex::build(colors.iter().copied(), target..palette);
     for top in (target..palette).rev() {
         for e in classes.take(top) {
             let eid = EdgeId::new(num::usize_from(e));
@@ -280,7 +234,6 @@ fn basic_phase<V: GraphView>(
                 // lint: allow(panic, "2Δ − 2 incident edges cannot block 2Δ − 1 colors")
                 .expect("2Δ − 2 incident edges cannot block 2Δ − 1 colors");
             colors[num::usize_from(e)] = free;
-            classes.put(free, e);
         }
         *stats = stats.then(round_cost);
     }
@@ -291,6 +244,11 @@ fn basic_phase<V: GraphView>(
 /// (vertex-disjoint palette blocks run in the same rounds), then the
 /// basic tail — the exact decision sequence of
 /// [`reduction::kw_reduction`](crate::reduction::kw_reduction) on L(G).
+/// Round `step` of a phase is decided by the agents whose local color
+/// (color mod 2t) is `2t − 1 − step`, in every block at once; they move
+/// below `t`, so one index per phase, keyed by local color, stays exact.
+/// Deciding in place is safe: same-block deciders are never adjacent,
+/// and a decider only reads its own block.
 fn kw_phase<V: GraphView>(
     g: &V,
     colors: &mut [u64],
@@ -304,27 +262,24 @@ fn kw_phase<V: GraphView>(
     let mut m = palette.max(1);
     while m > 2 * t {
         let blocks = m.div_ceil(2 * t);
-        let mut classes = ClassIndex::build(colors, blocks * 2 * t);
+        let mut classes = ClassIndex::build(colors.iter().map(|&c| c % (2 * t)), t..2 * t);
         for step in 0..t {
             let top_local = 2 * t - 1 - step;
-            for b in 0..blocks {
-                for e in classes.take(b * 2 * t + top_local) {
-                    let eid = EdgeId::new(num::usize_from(e));
-                    // Only same-block neighbors constrain the local mex.
-                    let free = scratch
-                        .mex_marked(t, |mark| {
-                            for_each_incident_color(g, colors, eid, |c| {
-                                if c / (2 * t) == b {
-                                    mark(c % (2 * t));
-                                }
-                            });
-                        })
-                        // lint: allow(panic, "Δ_L same-block neighbors cannot block t ≥ Δ_L + 1 colors")
-                        .expect("Δ_L same-block neighbors cannot block t ≥ Δ_L + 1 colors");
-                    let recolored = b * 2 * t + free;
-                    colors[num::usize_from(e)] = recolored;
-                    classes.put(recolored, e);
-                }
+            for e in classes.take(top_local) {
+                let eid = EdgeId::new(num::usize_from(e));
+                let b = colors[eid.index()] / (2 * t);
+                // Only same-block neighbors constrain the local mex.
+                let free = scratch
+                    .mex_marked(t, |mark| {
+                        for_each_incident_color(g, colors, eid, |c| {
+                            if c / (2 * t) == b {
+                                mark(c % (2 * t));
+                            }
+                        });
+                    })
+                    // lint: allow(panic, "Δ_L same-block neighbors cannot block t ≥ Δ_L + 1 colors")
+                    .expect("Δ_L same-block neighbors cannot block t ≥ Δ_L + 1 colors");
+                colors[eid.index()] = b * 2 * t + free;
             }
             *stats = stats.then(round_cost);
         }

@@ -36,6 +36,7 @@ pub mod arboricity;
 pub mod bitset;
 pub mod cd_coloring;
 pub mod checkpoint;
+mod class_index;
 pub mod connectors;
 pub mod crossing_merge;
 pub mod decomposition;

@@ -16,7 +16,7 @@
 use decolor_graph::coloring::VertexColoring;
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::VertexId;
-use decolor_runtime::{IdAssignment, Network, NetworkStats, RoundBuffer};
+use decolor_runtime::{IdAssignment, Network, NetworkStats};
 use rayon::prelude::*;
 
 use crate::error::AlgoError;
@@ -73,12 +73,18 @@ pub(crate) fn choose_parameters(m: u64, delta: u64) -> (u64, u32) {
 /// Evaluates the polynomial with base-`q` digit coefficients of `c` at
 /// point `a`, over GF(q).
 ///
-/// Allocation-free (this sits in the innermost loop of both Linial
-/// realizations): digits are consumed least-significant-first with a
+/// Allocation-free (this sits in the innermost loop of every Linial
+/// realization): digits are consumed least-significant-first with a
 /// running power of `a`, which is the same sum `Σ digit_i a^i mod q` as
 /// Horner's rule. `(c % q) * pw < q²` fits u64 for every `q` the
-/// parameter chooser can produce.
+/// parameter chooser can produce. At `a = 0` only the constant
+/// coefficient survives (the running power is 0 after the first digit),
+/// so the value is `c mod q` with no digit walk — the point every vertex
+/// tries first.
 pub(crate) fn eval_poly(mut c: u64, q: u64, a: u64) -> u64 {
+    if a == 0 {
+        return c % q;
+    }
     let mut acc = 0u64;
     let mut pw = 1 % q;
     while c > 0 {
@@ -89,43 +95,54 @@ pub(crate) fn eval_poly(mut c: u64, q: u64, a: u64) -> u64 {
     acc
 }
 
-/// One Linial recoloring round over the network: all vertices broadcast
-/// their colors (into the reusable `buf`), then recolor from palette `m`
-/// to palette `q²`.
+/// One agent's Linial recoloring over GF(`q`): the smallest point `α`
+/// where the agent's polynomial differs from every neighbor's, encoded
+/// as the color `α·q + p(α)`. The neighbors' colors differ from `my`, so
+/// each polynomial agrees with the agent's on at most `deg` points, and
+/// the `Δ·deg < q` points they rule out leave one free. Every Linial
+/// realization (network, chunked, edge space) decides through this.
+pub(crate) fn recolor(my: u64, neighborhood: &[u64], q: u64) -> u64 {
+    let mut alpha = None;
+    'points: for a in 0..q {
+        let mine = eval_poly(my, q, a);
+        for &their in neighborhood {
+            // A neighbor with *equal* color would break properness of the
+            // input; debug-checked.
+            debug_assert_ne!(their, my, "input coloring is not proper");
+            if their != my && eval_poly(their, q, a) == mine {
+                continue 'points;
+            }
+        }
+        alpha = Some(a);
+        break;
+    }
+    // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
+    let a = alpha.expect("a valid evaluation point exists by the pigeonhole argument");
+    a * q + eval_poly(my, q, a)
+}
+
+/// One Linial recoloring round over the network: every vertex broadcasts
+/// its color ([`Network::broadcast_view`]: charged in full, read by
+/// reference), gathers its neighbors' colors once, and writes its new
+/// color from palette `m` to palette `q²` into `next`. Reads come only
+/// from the round's snapshot `colors` and writes go only to `next`, so
+/// the caller swaps the two buffers afterwards.
 ///
 /// Precondition (checked in debug): `colors` is proper with values `< m`.
 fn linial_round<V: GraphView>(
     net: &mut Network<'_, V>,
-    buf: &mut RoundBuffer<u64>,
-    colors: &mut [u64],
+    colors: &[u64],
+    next: &mut [u64],
     m: u64,
     delta: u64,
 ) -> Result<u64, AlgoError> {
     let (q, _deg) = choose_parameters(m, delta);
-    net.broadcast_into(colors, buf)?;
-    #[allow(clippy::needless_range_loop)] // v also names the buffer row
-    for v in 0..colors.len() {
-        let my = colors[v];
-        // Choose the smallest α where p_v differs from every neighbor's
-        // polynomial (their colors differ, so polynomials differ and agree
-        // on ≤ deg points each; Δ·deg < q points are excluded in total).
-        let mut alpha = None;
-        'points: for a in 0..q {
-            let mine = eval_poly(my, q, a);
-            for &their in buf.row(VertexId::new(v)) {
-                if their != my && eval_poly(their, q, a) == mine {
-                    continue 'points;
-                }
-                // Neighbors with *equal* color would break properness of
-                // the input; debug-checked below.
-                debug_assert_ne!(their, my, "input coloring is not proper");
-            }
-            alpha = Some(a);
-            break;
-        }
-        // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
-        let a = alpha.expect("a valid evaluation point exists by the pigeonhole argument");
-        colors[v] = a * q + eval_poly(my, q, a);
+    let round = net.broadcast_view(colors)?;
+    let mut neighborhood: Vec<u64> = Vec::new();
+    for (v, out) in next.iter_mut().enumerate() {
+        neighborhood.clear();
+        round.each(VertexId::new(v), |&their| neighborhood.push(their));
+        *out = recolor(colors[v], &neighborhood, q);
     }
     Ok(q * q)
 }
@@ -173,17 +190,14 @@ pub fn linial_from_coloring<V: GraphView>(
     }
 
     let target = final_palette_bound(g.max_degree());
-    let mut buf = net.make_buffer();
+    let mut next = vec![0u64; colors.len()];
     while m > target {
-        let next = {
-            let (q, _) = choose_parameters(m, delta);
-            q * q
-        };
-        if next >= m {
+        let (q, _) = choose_parameters(m, delta);
+        if q * q >= m {
             break; // fixed point reached early
         }
-        let reached = linial_round(net, &mut buf, &mut colors, m, delta)?;
-        m = reached;
+        m = linial_round(net, &colors, &mut next, m, delta)?;
+        std::mem::swap(&mut colors, &mut next);
         trace.push(m);
     }
 
@@ -255,12 +269,12 @@ pub fn linial_coloring<V: GraphView>(
 const LINIAL_CHUNK: usize = 1 << 16;
 
 /// The **streaming/chunked realization** of [`linial_coloring`]: no
-/// [`Network`], no O(m)-slot [`RoundBuffer`] — each round gathers
-/// neighbor colors straight off the topology's CSR (in-memory `Graph` or
-/// out-of-core `ShardedCsr`) into per-chunk scratch, double-buffering the
-/// color array, with the chunks fanned out on the worker pool. Peak
-/// algorithm state is 2n u64 words instead of n + 2m, which is what opens
-/// the `scaling` Linial row to n ≈ 10⁸.
+/// [`Network`] — each round gathers neighbor colors straight off the
+/// topology's CSR (in-memory `Graph` or out-of-core `ShardedCsr`) into
+/// per-chunk scratch, double-buffering the color array, with the chunks
+/// fanned out on the worker pool and a durable checkpoint between
+/// rounds when asked for. Peak algorithm state is 2n u64 words, which is
+/// what opens the `scaling` Linial row to n ≈ 10⁸.
 ///
 /// A vertex's recoloring decision depends only on the previous round's
 /// colors, so the output is **bit-identical** at any `DECOLOR_THREADS`
@@ -468,28 +482,11 @@ fn chunked_core<V: GraphView + Sync>(
                 let mut out = Vec::with_capacity(range.len());
                 let mut neigh: Vec<u64> = Vec::new();
                 for vi in range.clone() {
-                    let my = colors[vi];
                     neigh.clear();
                     g.for_each_port(VertexId::new(vi), |u, _| neigh.push(colors[u.index()]));
-                    // Smallest α where p_v differs from every neighbor's
-                    // polynomial — the same decision `linial_round` makes
-                    // off the broadcast buffer.
-                    let mut alpha = None;
-                    'points: for a in 0..q {
-                        let mine = eval_poly(my, q, a);
-                        for &their in &neigh {
-                            if their != my && eval_poly(their, q, a) == mine {
-                                continue 'points;
-                            }
-                            debug_assert_ne!(their, my, "input coloring is not proper");
-                        }
-                        alpha = Some(a);
-                        break;
-                    }
-                    let a =
-                        // lint: allow(panic, "a valid evaluation point exists by the pigeonhole argument")
-                        alpha.expect("a valid evaluation point exists by the pigeonhole argument");
-                    out.push(a * q + eval_poly(my, q, a));
+                    // The same decision `linial_round` makes off the
+                    // broadcast.
+                    out.push(recolor(colors[vi], &neigh, q));
                 }
                 out
             })
@@ -763,6 +760,47 @@ mod tests {
             "expected Corrupt, got {err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The digit-loop evaluation [`eval_poly`] shortcuts at `a = 0`,
+    /// kept as its oracle.
+    fn eval_poly_reference(mut c: u64, q: u64, a: u64) -> u64 {
+        let mut acc = 0u64;
+        let mut pw = 1 % q;
+        while c > 0 {
+            acc = (acc + (c % q) * pw) % q;
+            pw = (pw * a) % q;
+            c /= q;
+        }
+        acc
+    }
+
+    #[test]
+    fn eval_poly_matches_digit_loop_reference() {
+        // Deterministic splitmix-style stream over random (c, prime q, a),
+        // with a = 0 and c = 0 forced on a share of the draws.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for trial in 0..20_000u64 {
+            let q = crate::util::next_prime(2 + next() % 5000);
+            let c = match trial % 5 {
+                0 => 0,
+                1 => next() % q,
+                _ => next() >> (next() % 64),
+            };
+            let a = if trial % 3 == 0 { 0 } else { next() % q };
+            assert_eq!(
+                eval_poly(c, q, a),
+                eval_poly_reference(c, q, a),
+                "c = {c}, q = {q}, a = {a}"
+            );
+        }
     }
 
     #[test]

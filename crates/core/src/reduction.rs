@@ -11,13 +11,26 @@
 //! * [`edge_palette_trim`] — the edge-coloring analogue used by §4's
 //!   "within an additional round the number of colors can be reduced":
 //!   each top edge-color class is a matching, so it recolors in one round.
+//!
+//! Every round of the two vertex reductions is one full broadcast
+//! ([`Network::broadcast_view`]), charged in full — one round,
+//! `Σ deg(v)` messages — whoever reads it. Only the round's *deciders*
+//! read: the vertices of the top class (basic), or of local color
+//! `top_local` in every block (KW). A decider's new color is below the
+//! classes any later round of its cascade or phase visits, so a class
+//! index built once per cascade (basic) or per halving phase (KW) finds
+//! each round's deciders without scanning all n vertices.
+//! Decisions are collected while the round's borrow of the colors lives
+//! and applied after it ends, so every decider reads the round's
+//! snapshot.
 
 use decolor_graph::coloring::Color;
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::{num, EdgeId, VertexId};
-use decolor_runtime::{Network, NetworkStats, RoundBuffer};
+use decolor_runtime::{Network, NetworkStats};
 
 use crate::bitset::PaletteSet;
+use crate::class_index::ClassIndex;
 use crate::error::AlgoError;
 
 /// Smallest color `< limit` absent from `used` (the "mex below limit").
@@ -70,36 +83,38 @@ pub fn basic_reduction<V: GraphView>(
     if palette <= target {
         return Ok(palette.max(1));
     }
-    let mut buf = net.make_buffer();
-    basic_reduction_rounds(net, &mut buf, colors, palette, target)?;
+    basic_reduction_rounds(net, colors, palette, target)?;
     Ok(target)
 }
 
-/// The communication rounds of [`basic_reduction`], reusing `buf` (one
-/// flat inbox for the whole cascade). Preconditions already checked.
+/// The communication rounds of [`basic_reduction`]: round `top` is
+/// decided by color class `top`, which moves below `target`, so one class
+/// index serves the whole cascade. Preconditions already checked.
 fn basic_reduction_rounds<V: GraphView>(
     net: &mut Network<'_, V>,
-    buf: &mut RoundBuffer<Color>,
     colors: &mut [Color],
     palette: u64,
     target: u64,
 ) -> Result<(), AlgoError> {
+    let mut classes = ClassIndex::build(colors.iter().map(|&c| u64::from(c)), target..palette);
     let mut set = PaletteSet::new();
+    let mut decisions: Vec<(u32, Color)> = Vec::new();
     for top in (target..palette).rev() {
-        net.broadcast_into(colors, buf)?;
-        #[allow(clippy::needless_range_loop)] // v also names the buffer row
-        for v in 0..colors.len() {
-            if u64::from(colors[v]) == top {
-                set.reset(target);
-                for &c in buf.row(VertexId::new(v)) {
-                    set.insert(u64::from(c));
-                }
-                let free = set
-                    .mex()
-                    // lint: allow(panic, "Δ neighbors cannot block Δ + 1 colors")
-                    .expect("Δ neighbors cannot block Δ + 1 colors");
-                colors[v] = free as Color;
-            }
+        let round = net.broadcast_view(colors)?;
+        decisions.clear();
+        for v in classes.take(top) {
+            set.reset(target);
+            round.each(VertexId::new(num::usize_from(v)), |&c| {
+                set.insert(u64::from(c));
+            });
+            let free = set
+                .mex()
+                // lint: allow(panic, "Δ neighbors cannot block Δ + 1 colors")
+                .expect("Δ neighbors cannot block Δ + 1 colors");
+            decisions.push((v, free as Color));
+        }
+        for &(v, c) in &decisions {
+            colors[num::usize_from(v)] = c;
         }
     }
     Ok(())
@@ -130,35 +145,40 @@ pub fn kw_reduction<V: GraphView>(
     }
     let t = target;
     let mut m = palette.max(1);
-    let mut buf = net.make_buffer();
     let mut set = PaletteSet::new();
+    let mut decisions: Vec<(u32, Color)> = Vec::new();
     // Halving phases: blocks of size 2t reduce to t colors each, all
     // blocks in parallel (they occupy disjoint vertex sets).
     while m > 2 * t {
         let block_of = |c: Color| u64::from(c) / (2 * t);
+        // Round `step` is decided by local color 2t − 1 − step in every
+        // block; a decider's new local color is below t, so each vertex
+        // decides at most once per phase and this index stays exact.
+        let mut classes =
+            ClassIndex::build(colors.iter().map(|&c| u64::from(c) % (2 * t)), t..2 * t);
         for step in 0..t {
             let top_local = 2 * t - 1 - step;
-            net.broadcast_into(colors, &mut buf)?;
-            #[allow(clippy::needless_range_loop)] // v also names the buffer row
-            for v in 0..colors.len() {
-                let local = u64::from(colors[v]) % (2 * t);
-                if local == top_local {
-                    let b = block_of(colors[v]);
-                    // Only same-block neighbors constrain the local mex.
-                    set.reset(t);
-                    for &c in buf.row(VertexId::new(v)) {
-                        if block_of(c) == b {
-                            set.insert(u64::from(c) % (2 * t));
-                        }
+            let round = net.broadcast_view(colors)?;
+            decisions.clear();
+            for v in classes.take(top_local) {
+                let b = block_of(colors[num::usize_from(v)]);
+                // Only same-block neighbors constrain the local mex.
+                set.reset(t);
+                round.each(VertexId::new(num::usize_from(v)), |&c| {
+                    if block_of(c) == b {
+                        set.insert(u64::from(c) % (2 * t));
                     }
-                    let free = set
-                        .mex()
-                        // lint: allow(panic, "Δ same-block neighbors cannot block t ≥ Δ + 1 colors")
-                        .expect("Δ same-block neighbors cannot block t ≥ Δ + 1 colors");
-                    // Stay in the original block encoding during the
-                    // phase so neighbors keep classifying us correctly.
-                    colors[v] = (b * 2 * t + free) as Color;
-                }
+                });
+                let free = set
+                    .mex()
+                    // lint: allow(panic, "Δ same-block neighbors cannot block t ≥ Δ + 1 colors")
+                    .expect("Δ same-block neighbors cannot block t ≥ Δ + 1 colors");
+                // Stay in the original block encoding during the phase so
+                // neighbors keep classifying us correctly.
+                decisions.push((v, (b * 2 * t + free) as Color));
+            }
+            for &(v, c) in &decisions {
+                colors[num::usize_from(v)] = c;
             }
         }
         // All local colors are now < t; renumber blocks densely.
@@ -174,7 +194,7 @@ pub fn kw_reduction<V: GraphView>(
     if m <= t {
         return Ok(m.max(1));
     }
-    basic_reduction_rounds(net, &mut buf, colors, m, t)?;
+    basic_reduction_rounds(net, colors, m, t)?;
     Ok(t)
 }
 

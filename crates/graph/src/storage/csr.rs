@@ -371,15 +371,14 @@ impl Default for BuildOptions {
     }
 }
 
-/// A buffered writer over one store file with the fault seam and a
-/// rolling CRC of everything successfully written through it.
+/// A buffered writer over one store file with the fault seam. It keeps
+/// no checksum: the manifest digests each file from its final bytes.
 #[derive(Debug)]
 struct ShardWriter {
     path: PathBuf,
     label: String,
     file: File,
     buf: Vec<u8>,
-    crc: Crc32,
 }
 
 impl ShardWriter {
@@ -390,13 +389,11 @@ impl ShardWriter {
             label,
             file,
             buf: Vec::with_capacity(WRITER_BUF),
-            crc: Crc32::new(),
         })
     }
 
-    /// Reopens an existing file for appending (the resume path; `crc`
-    /// restarts at the caller-provided prefix digest).
-    fn append(path: PathBuf, label: String, crc: Crc32) -> Result<ShardWriter, GraphError> {
+    /// Reopens an existing file for appending (the resume path).
+    fn append(path: PathBuf, label: String) -> Result<ShardWriter, GraphError> {
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
@@ -406,7 +403,6 @@ impl ShardWriter {
             label,
             file,
             buf: Vec::with_capacity(WRITER_BUF),
-            crc,
         })
     }
 
@@ -439,7 +435,6 @@ impl ShardWriter {
         self.file
             .write_all(&self.buf)
             .map_err(|e| io_err("cannot write", &self.path, e))?;
-        self.crc.update(&self.buf);
         self.buf.clear();
         Ok(())
     }
@@ -485,7 +480,8 @@ pub struct ShardedCsrBuilder {
     journal_every: usize,
     /// Edges covered by the last durable journal write.
     durable_edges: usize,
-    /// Rolling CRC over every spooled endpoint record.
+    /// Rolling CRC over every spooled endpoint record; kept only when
+    /// journaling, the one reader (each checkpoint records it).
     stream_crc: EdgeCrc,
     /// Resume replay: edges still to skip before new edges are accepted.
     skip: usize,
@@ -749,11 +745,7 @@ impl ShardedCsrBuilder {
         let ep = if durable == 0 {
             ShardWriter::create(dir.join("ep.0"), "ep.0".into())?
         } else {
-            ShardWriter::append(
-                dir.join(format!("ep.{boundary}")),
-                format!("ep.{boundary}"),
-                Crc32::new(),
-            )?
+            ShardWriter::append(dir.join(format!("ep.{boundary}")), format!("ep.{boundary}"))?
         };
         Ok(ShardedCsrBuilder {
             dir,
@@ -912,12 +904,14 @@ impl ShardedCsrBuilder {
         rec[0..4].copy_from_slice(&lo32.to_le_bytes());
         rec[4..8].copy_from_slice(&hi32.to_le_bytes());
         w.write(&rec, self.faults.as_ref())?;
-        self.stream_crc.update(lo32, hi32);
         self.degree[lo] += 1;
         self.degree[hi] += 1;
         self.m += 1;
-        if self.journal_every > 0 && self.m.is_multiple_of(self.journal_every) {
-            self.checkpoint()?;
+        if self.journal_every > 0 {
+            self.stream_crc.update(lo32, hi32);
+            if self.m.is_multiple_of(self.journal_every) {
+                self.checkpoint()?;
+            }
         }
         Ok(())
     }
@@ -987,18 +981,21 @@ impl ShardedCsrBuilder {
         let mut max_degree = 0usize;
         let offsets_rec = {
             let mut w = ShardWriter::create(offsets_tmp.clone(), "offsets".into())?;
+            let mut crc = Crc32::new();
             let mut acc = 0u64;
             w.write(&acc.to_le_bytes(), faults)?;
+            crc.update(&acc.to_le_bytes());
             for &d in &self.degree {
                 cursor.push(acc);
                 acc = num::add_offset(acc, u64::from(d))?;
                 max_degree = max_degree.max(num::usize_from(d));
                 w.write(&acc.to_le_bytes(), faults)?;
+                crc.update(&acc.to_le_bytes());
             }
             w.sync(faults)?;
             FileRecord {
                 len: num::to_u64(num::byte_len(num::add(self.n, 1)?, 8)?),
-                crc: w.crc.finish(),
+                crc: crc.finish(),
             }
         };
         barrier(faults, "offsets.rename")?;

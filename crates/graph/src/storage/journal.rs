@@ -254,8 +254,11 @@ pub(crate) struct EdgeCrc(Crc32);
 
 impl EdgeCrc {
     pub(crate) fn update(&mut self, lo: u32, hi: u32) {
-        self.0.update(&lo.to_le_bytes());
-        self.0.update(&hi.to_le_bytes());
+        // One 8-byte record: a single slicing-by-8 step.
+        let mut rec = [0u8; 8];
+        rec[..4].copy_from_slice(&lo.to_le_bytes());
+        rec[4..].copy_from_slice(&hi.to_le_bytes());
+        self.0.update(&rec);
     }
 
     pub(crate) fn finish(&self) -> u32 {

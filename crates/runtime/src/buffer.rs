@@ -6,9 +6,11 @@
 //! offsets built once from the incidence structure. A buffer is created
 //! once per (graph, message type) pair and refilled every round by
 //! [`Network::exchange_into`](crate::Network::exchange_into) /
-//! [`Network::broadcast_into`](crate::Network::broadcast_into), so the
-//! per-round cost is the messages themselves — no `Vec` is allocated after
-//! construction.
+//! [`Network::broadcast_on_active_into`](crate::Network::broadcast_on_active_into),
+//! so the per-round cost is the messages themselves — no `Vec` is
+//! allocated after construction. A full broadcast needs no buffer at all:
+//! [`Network::broadcast_view`](crate::Network::broadcast_view) delivers
+//! by reference.
 
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::{num, VertexId};
@@ -24,17 +26,19 @@ use crate::error::RuntimeError;
 /// payloads from earlier rounds and are never observed.
 ///
 /// ```rust
-/// use decolor_graph::builder_from_edges;
+/// use decolor_graph::{builder_from_edges, VertexId};
 /// use decolor_runtime::{Network, RoundBuffer};
 ///
 /// let g = builder_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
 /// let mut net = Network::new(&g);
 /// let mut buf = RoundBuffer::new(&g);
 /// for round in 0..4u32 {
-///     let values = vec![round, round + 1, round + 2];
-///     net.broadcast_into(&values, &mut buf).unwrap();
-///     let mid: Vec<u32> = buf.row(decolor_graph::VertexId::new(1)).copied().collect();
-///     assert_eq!(mid, vec![round, round + 2]); // port order, no allocation
+///     // Vertex 1 sends `round` on port 0 (to vertex 0) and `round + 1`
+///     // on port 1 (to vertex 2).
+///     let outbox = vec![vec![], vec![(0, round), (1, round + 1)], vec![]];
+///     net.exchange_into(&outbox, &mut buf).unwrap();
+///     let at_2: Vec<(usize, u32)> = buf.inbox(VertexId::new(2)).map(|(p, &m)| (p, m)).collect();
+///     assert_eq!(at_2, vec![(0, round + 1)]); // tagged with 2's port, no allocation
 /// }
 /// assert_eq!(net.stats().rounds, 4);
 /// ```
@@ -116,16 +120,6 @@ impl<M> RoundBuffer<M> {
     #[inline]
     pub fn received(&self, v: VertexId) -> usize {
         self.len[v.index()]
-    }
-
-    /// The messages delivered to `v` this round, in delivery order (for
-    /// [`Network::broadcast_into`](crate::Network::broadcast_into) this is
-    /// port order: element `p` is the value of the neighbor across port
-    /// `p`).
-    #[inline]
-    pub fn row(&self, v: VertexId) -> impl Iterator<Item = &M> + '_ {
-        let base = self.offsets[v.index()];
-        self.slots[base..base + self.len[v.index()]].iter()
     }
 
     /// The `(receiving port, message)` pairs delivered to `v` this round,
@@ -213,27 +207,6 @@ impl<M> RoundBuffer<M> {
         Ok(())
     }
 
-    /// Writes the broadcast value arriving at `v`'s port `p` directly into
-    /// slot `p` (deterministic sender order makes the position known
-    /// without sorting).
-    #[inline]
-    pub(crate) fn place_at_port(&mut self, v: VertexId, p: usize, message: &M)
-    where
-        M: Clone,
-    {
-        let base = self.offsets[v.index()];
-        // lint: allow(cast, "port indices are below a u32 vertex degree")
-        self.ports[base + p] = p as u32;
-        self.slots[base + p].clone_from(message);
-    }
-
-    /// Marks `v` as having received exactly its full degree of messages
-    /// (after a broadcast filled every port slot).
-    #[inline]
-    pub(crate) fn set_full(&mut self, v: VertexId) {
-        self.len[v.index()] = self.offsets[v.index() + 1] - self.offsets[v.index()];
-    }
-
     /// Moves this round's inbox of `v` out of the arena (used by the
     /// compatibility wrappers to avoid a second clone), leaving default
     /// payloads behind.
@@ -287,7 +260,7 @@ mod tests {
         // A fresh round starts empty even though slots hold stale payloads.
         buf.begin_round();
         assert_eq!(buf.received(VertexId::new(1)), 0);
-        assert_eq!(buf.row(VertexId::new(1)).count(), 0);
+        assert_eq!(buf.inbox(VertexId::new(1)).count(), 0);
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //! [`Network::exchange`] call
 //! every vertex places at most one message per incident port, messages
 //! traverse exactly one edge, and the round counter advances by one.
-//! Hot loops use the allocation-free flat-buffer entry points
-//! ([`Network::exchange_into`] / [`Network::broadcast_into`] over a
-//! reusable [`RoundBuffer`]); the `Vec`-returning forms remain as
-//! semantically identical wrappers. A broadcast of large messages of
-//! which only a few are read ([`Network::broadcast_view`]) is charged in
-//! full but delivered by reference, as a [`Broadcast`] borrow of the
-//! senders' values.
+//! A full broadcast ([`Network::broadcast_view`]) is charged in full —
+//! one round, `Σ deg(v)` messages — but delivered by reference, as a
+//! [`Broadcast`] borrow of the senders' values, so a round costs only
+//! the messages its receivers read: Linial reads every neighbor once per
+//! round, the color reductions only the neighbors of the vertices that
+//! decide in that round. Point-to-point and active-set rounds
+//! ([`Network::exchange_into`], [`Network::broadcast_on_active_into`])
+//! deliver into a reusable flat [`RoundBuffer`] without allocating; the
+//! `Vec`-returning forms ([`Network::exchange`], [`Network::broadcast`])
+//! remain as semantically identical wrappers.
 //! Distributed algorithms in `decolor-core` are written against this
 //! interface, so their reported round counts are *measured*, not modelled
 //! (composite algorithms combine phase counts with [`Rounds`] using the

@@ -29,7 +29,8 @@ use crate::metrics::NetworkStats;
 /// [`Network::broadcast_on_active_into`], [`Network::port_of`]); the
 /// broadcast-only pipelines (Linial, the color reductions — i.e. the
 /// whole vertex-coloring subroutine — and the Lemma 5.1 crossing merges)
-/// never allocate one.
+/// never allocate one. The degree sum a full broadcast is charged is
+/// likewise computed once, on the first [`Network::broadcast_view`].
 ///
 /// Malformed traffic (out-of-range ports, over-full inboxes, foreign
 /// buffers) is reported as a [`RuntimeError`] instead of aborting the
@@ -41,6 +42,9 @@ pub struct Network<'g, V: GraphView = Graph> {
     /// endpoint: `ports[e] = (port at lower endpoint, port at higher
     /// endpoint)`. Built on first use.
     ports: OnceCell<Vec<(u32, u32)>>,
+    /// `Σ deg(v)`: the message count of one full broadcast. Computed on
+    /// first use.
+    degree_sum: OnceCell<u64>,
     stats: NetworkStats,
 }
 
@@ -51,6 +55,7 @@ impl<'g, V: GraphView> Network<'g, V> {
         Network {
             graph,
             ports: OnceCell::new(),
+            degree_sum: OnceCell::new(),
             stats: NetworkStats::default(),
         }
     }
@@ -67,16 +72,17 @@ impl<'g, V: GraphView> Network<'g, V> {
         self.stats
     }
 
-    /// Zeroes the statistics ledger while keeping the port table (if one
-    /// was built), so measurement loops can construct the network once
-    /// and call this between iterations.
+    /// Zeroes the statistics ledger while keeping the port table and the
+    /// degree sum (if computed), so measurement loops can construct the
+    /// network once and call this between iterations.
     #[inline]
     pub fn reset_stats(&mut self) {
         self.stats = NetworkStats::default();
     }
 
     /// Builds a [`RoundBuffer`] shaped for this network's topology, for
-    /// use with [`Network::exchange_into`] / [`Network::broadcast_into`].
+    /// use with [`Network::exchange_into`] and
+    /// [`Network::broadcast_on_active_into`].
     pub fn make_buffer<M: Clone + Default>(&self) -> RoundBuffer<M> {
         RoundBuffer::new(self.graph)
     }
@@ -125,6 +131,16 @@ impl<'g, V: GraphView> Network<'g, V> {
         } else {
             Err(RuntimeError::NotAnEndpoint { vertex: v, edge: e })
         }
+    }
+
+    /// `Σ deg(v)` over the topology, computed on first use (one O(n)
+    /// degree scan).
+    fn degree_sum(&self) -> u64 {
+        *self.degree_sum.get_or_init(|| {
+            (0..self.graph.num_vertices())
+                .map(|v| num::to_u64(self.graph.degree(VertexId::new(v))))
+                .sum()
+        })
     }
 
     /// [`Network::port_of`] for an `(endpoint, edge)` pair already known
@@ -233,74 +249,23 @@ impl<'g, V: GraphView> Network<'g, V> {
     }
 
     /// One round in which every vertex sends `values[v]` on **all** its
-    /// ports, delivered into a reusable [`RoundBuffer`] without
-    /// allocating: afterwards `buf.row(v)` yields the neighbor values of
-    /// `v` *in port order* (element `p` is the value across port `p`).
-    ///
-    /// The sender order of a broadcast is deterministic — the message
-    /// arriving at port `p` of `v` is always `values[incidence(v)[p].0]` —
-    /// so each payload is written straight into slot `p`; no per-vertex
-    /// sort is involved.
-    ///
-    /// This is the primitive for small messages that every receiver reads
-    /// in full — Linial and the color reductions send one scalar color
-    /// and scan every neighbor's — where the copy into a port-ordered row
-    /// costs no more than the lookup it replaces. A round whose messages
-    /// are large and read only on a few edges should use
-    /// [`Network::broadcast_view`], which charges the same but copies
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ShapeMismatch`] if `values` does not have one entry
-    /// per vertex; [`RuntimeError::ForeignBuffer`] if the buffer was built
-    /// for a different graph shape.
-    pub fn broadcast_into<M: Clone>(
-        &mut self,
-        values: &[M],
-        buf: &mut RoundBuffer<M>,
-    ) -> Result<(), RuntimeError> {
-        if values.len() != self.graph.num_vertices() {
-            return Err(RuntimeError::ShapeMismatch {
-                what: "values",
-                expected: self.graph.num_vertices(),
-                got: values.len(),
-            });
-        }
-        if !buf.fits(self.graph) {
-            return Err(RuntimeError::ForeignBuffer);
-        }
-        let mut messages = 0u64;
-        for vi in 0..self.graph.num_vertices() {
-            let v = VertexId::new(vi);
-            let mut p = 0usize;
-            self.graph.for_each_port(v, |u, _| {
-                buf.place_at_port(v, p, &values[u.index()]);
-                p += 1;
-            });
-            buf.set_full(v);
-            messages += num::to_u64(self.graph.degree(v));
-        }
-        self.stats.rounds += 1;
-        self.stats.messages += messages;
-        self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
-        Ok(())
-    }
-
-    /// One round in which every vertex sends `values[v]` on **all** its
     /// ports, delivered **by reference**: the returned [`Broadcast`]
-    /// borrows `values`, and [`Broadcast::across`] yields the value a
-    /// vertex received across one of its edges. The ledger is charged
-    /// exactly what [`Network::broadcast_into`] charges (one round,
-    /// `Σ deg(v)` messages of `size_of::<M>()` bytes each), but no
-    /// payload is copied, so the round costs O(n) whatever the message
-    /// size.
+    /// borrows `values`; [`Broadcast::each`] yields the values a vertex
+    /// received in port order, [`Broadcast::across`] the value it
+    /// received across one of its edges. The ledger is charged exactly
+    /// what [`Network::broadcast`] charges (one round, `Σ deg(v)`
+    /// messages of `size_of::<M>()` bytes each), but no payload is
+    /// copied and the degree sum is memoized, so the round itself costs
+    /// O(1): a receiver pays only for the messages it reads.
     ///
     /// The borrow enforces the LOCAL model's snapshot semantics: the
     /// senders' state cannot change while any receiver still reads the
-    /// round. This is the primitive for the Lemma 5.1 crossing merges,
-    /// whose messages are whole incident-color lists of which each round
-    /// reads one per active edge.
+    /// round, so an algorithm collects its decisions while the round
+    /// lives and applies them after it ends. This is the broadcast
+    /// primitive of every pipeline: Linial and the color reductions
+    /// (scalar colors, read only by the vertices that decide in that
+    /// round) and the Lemma 5.1 crossing merges (whole incident-color
+    /// lists, read one per active edge).
     ///
     /// # Errors
     ///
@@ -333,9 +298,7 @@ impl<'g, V: GraphView> Network<'g, V> {
                 got: values.len(),
             });
         }
-        let messages: u64 = (0..self.graph.num_vertices())
-            .map(|v| num::to_u64(self.graph.degree(VertexId::new(v))))
-            .sum();
+        let messages = self.degree_sum();
         self.stats.rounds += 1;
         self.stats.messages += messages;
         self.stats.payload_bytes += messages * num::to_u64(std::mem::size_of::<M>());
@@ -349,11 +312,12 @@ impl<'g, V: GraphView> Network<'g, V> {
     /// ports. Returns, per vertex, the received neighbor values *in port
     /// order* (`result[v][p]` = value of the neighbor across port `p`).
     ///
-    /// This is the workhorse of color-exchange algorithms. Like
-    /// [`Network::broadcast_into`] it exploits the deterministic sender
-    /// order of a broadcast instead of sorting each inbox; hot loops
-    /// should prefer the `_into` variant, which also skips the per-vertex
-    /// `Vec`s.
+    /// The sender order of a broadcast is deterministic — the message
+    /// arriving at port `p` of `v` is always the value of `v`'s `p`-th
+    /// neighbor — so no inbox is sorted. Compatibility wrapper: every
+    /// round copies all `Σ deg(v)` messages into fresh per-vertex `Vec`s,
+    /// so loops should call [`Network::broadcast_view`], which delivers
+    /// the same values in the same order by reference.
     ///
     /// # Errors
     ///
@@ -571,6 +535,16 @@ pub struct Broadcast<'v, V, M> {
 }
 
 impl<'v, V: GraphView, M> Broadcast<'v, V, M> {
+    /// Calls `f` with every message `v` received this round, in port
+    /// order: the `p`-th call carries the value of the neighbor across
+    /// port `p`, exactly row `v` of what [`Network::broadcast`] returns.
+    /// Costs O(deg v); a vertex that does not read pays nothing.
+    #[inline]
+    pub fn each(&self, v: VertexId, mut f: impl FnMut(&'v M)) {
+        let values = self.values;
+        self.graph.for_each_port(v, |u, _| f(&values[u.index()]));
+    }
+
     /// The message `v` received across edge `e` this round: the value of
     /// `e`'s other endpoint.
     ///
@@ -687,7 +661,9 @@ mod tests {
         let mut net = Network::new(&g);
         let mut buf = net.make_buffer();
         // A good round first, so stale data exists to destroy.
-        net.broadcast_into(&[7u32, 8, 9], &mut buf).unwrap();
+        let all: Vec<VertexId> = g.vertices().collect();
+        net.broadcast_on_active_into(&[7u32, 8, 9], &all, &mut buf)
+            .unwrap();
         assert_eq!(buf.received(VertexId::new(1)), 2);
         // Vertex 1 sends a valid message, then vertex 2 a bad port: the
         // partial delivery must not be readable afterwards.
@@ -772,19 +748,23 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_into_reuses_one_buffer_across_rounds() {
+    fn broadcast_view_charges_every_round_in_full() {
         let g = p3();
         let mut net = Network::new(&g);
-        let mut buf = net.make_buffer();
         for round in 0..3u32 {
             let vals = vec![10 + round, 20 + round, 30 + round];
-            net.broadcast_into(&vals, &mut buf).unwrap();
-            let mid: Vec<u32> = buf.row(VertexId::new(1)).copied().collect();
+            let view = net.broadcast_view(&vals).unwrap();
+            let mut mid = Vec::new();
+            view.each(VertexId::new(1), |&c| mid.push(c));
             assert_eq!(mid, vec![10 + round, 30 + round]);
-            assert_eq!(buf.received(VertexId::new(0)), 1);
+            let mut end = 0;
+            view.each(VertexId::new(0), |_| end += 1);
+            assert_eq!(end, 1);
         }
+        // The memoized degree sum charges each round its 2m messages.
         assert_eq!(net.stats().rounds, 3);
         assert_eq!(net.stats().messages, 12);
+        assert_eq!(net.stats().payload_bytes, 12 * 4);
     }
 
     #[test]
@@ -836,7 +816,11 @@ mod tests {
         let mut net = Network::new(&g);
         let mut buf = RoundBuffer::<u32>::new(&other);
         assert_eq!(
-            net.broadcast_into(&[1, 2, 3], &mut buf),
+            net.exchange_into(&[vec![], vec![], vec![]], &mut buf),
+            Err(RuntimeError::ForeignBuffer)
+        );
+        assert_eq!(
+            net.broadcast_on_active_into(&[1, 2, 3], &[], &mut buf),
             Err(RuntimeError::ForeignBuffer)
         );
     }
