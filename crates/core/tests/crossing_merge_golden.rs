@@ -9,60 +9,73 @@
 //!   Kuhn–Wattenhofer reduction) on its own, on a whole graph and on an
 //!   induced view, the chunked Linial realization, and CD-Coloring of a
 //!   line graph in RAM and spilled to disk;
+//! - CD-Coloring over partial subset views (two levels, with and without
+//!   the per-level `t` schedule) and the clique connector of a cover
+//!   whose cliques overlap;
 //! - the CRC32 digests a store's manifest records for its files.
 //!
 //! Each coloring case folds the colors, the palette and the measured
 //! [`NetworkStats`] into one CRC32, so a change to any greedy decision,
-//! palette or message ledger fails here. The algorithms are pure
+//! palette or message ledger fails here; a graph case folds its edge
+//! list in edge-id order. The algorithms are pure
 //! functions of their input, so a faster implementation must leave every
 //! constant as it is. Every case runs at pool widths 1 and 4.
 
 use decolor_core::arboricity::{theorem52, theorem52_on, theorem53, theorem54};
 use decolor_core::cd_coloring::{cd_coloring, cd_edge_coloring_spilled, CdParams};
+use decolor_core::connectors::clique::clique_connector;
 use decolor_core::crossing_merge::one_sided_edge_coloring;
 use decolor_core::delta_plus_one::{
     vertex_coloring_with_target, ReductionStrategy, Seed, SubroutineConfig,
 };
 use decolor_core::linial::linial_coloring_chunked;
-use decolor_graph::coloring::{Color, EdgeColoring, VertexColoring};
+use decolor_graph::cliques::cover_from_all_maximal_cliques;
+use decolor_graph::coloring::{EdgeColoring, VertexColoring};
 use decolor_graph::line_graph::LineGraph;
 use decolor_graph::storage::{Crc32, ShardedCsr, ShardedCsrBuilder};
 use decolor_graph::subgraph::{EdgeSubgraphView, GraphView, InducedSubgraphView};
 use decolor_graph::{generators, EdgeId, Graph, VertexId};
 use decolor_runtime::{IdAssignment, NetworkStats};
 
-/// A coloring the fingerprint can fold: its colors and its palette.
-trait Colored {
-    fn colors(&self) -> &[Color];
-    fn palette(&self) -> u64;
+/// What a fingerprint can fold: a coloring (its colors, then its
+/// palette) or a graph (its edges in id order).
+trait Fingerprinted {
+    fn fold(&self, crc: &mut Crc32);
 }
 
-impl Colored for EdgeColoring {
-    fn colors(&self) -> &[Color] {
-        self.as_slice()
-    }
-    fn palette(&self) -> u64 {
-        EdgeColoring::palette(self)
-    }
-}
-
-impl Colored for VertexColoring {
-    fn colors(&self) -> &[Color] {
-        self.as_slice()
-    }
-    fn palette(&self) -> u64 {
-        VertexColoring::palette(self)
+impl Fingerprinted for EdgeColoring {
+    fn fold(&self, crc: &mut Crc32) {
+        for &c in self.as_slice() {
+            crc.update(&c.to_le_bytes());
+        }
+        crc.update(&self.palette().to_le_bytes());
     }
 }
 
-/// CRC32 over the colors (u32 LE), the palette and the three ledger
-/// counters (u64 LE).
-fn fingerprint(coloring: &impl Colored, stats: NetworkStats) -> u32 {
+impl Fingerprinted for VertexColoring {
+    fn fold(&self, crc: &mut Crc32) {
+        for &c in self.as_slice() {
+            crc.update(&c.to_le_bytes());
+        }
+        crc.update(&self.palette().to_le_bytes());
+    }
+}
+
+impl Fingerprinted for Graph {
+    fn fold(&self, crc: &mut Crc32) {
+        crc.update(&decolor_graph::num::to_u64(self.num_vertices()).to_le_bytes());
+        for (_, [u, v]) in self.edge_list() {
+            for w in [u, v] {
+                crc.update(&decolor_graph::num::to_u64(w.index()).to_le_bytes());
+            }
+        }
+    }
+}
+
+/// CRC32 over the folded value, then the three ledger counters (u64 LE).
+fn fingerprint(value: &impl Fingerprinted, stats: NetworkStats) -> u32 {
     let mut crc = Crc32::new();
-    for &c in coloring.colors() {
-        crc.update(&c.to_le_bytes());
-    }
-    crc.update(&coloring.palette().to_le_bytes());
+    value.fold(&mut crc);
     for x in [stats.rounds, stats.messages, stats.payload_bytes] {
         crc.update(&x.to_le_bytes());
     }
@@ -70,16 +83,14 @@ fn fingerprint(coloring: &impl Colored, stats: NetworkStats) -> u32 {
 }
 
 /// Runs `run` at pool widths 1 and 4 and checks both fingerprints.
-fn assert_golden<C: Colored>(name: &str, expected: u32, run: impl Fn() -> (C, NetworkStats)) {
+fn assert_golden<C: Fingerprinted>(name: &str, expected: u32, run: impl Fn() -> (C, NetworkStats)) {
     for threads in [1usize, 4] {
-        let (coloring, stats) = rayon::with_num_threads(threads, &run);
-        let got = fingerprint(&coloring, stats);
+        let (value, stats) = rayon::with_num_threads(threads, &run);
+        let got = fingerprint(&value, stats);
         assert_eq!(
-            got,
-            expected,
+            got, expected,
             "{name} at {threads} threads: fingerprint {got:#010x}, expected {expected:#010x} \
-             (palette {}, {stats:?})",
-            coloring.palette()
+             ({stats:?})"
         );
     }
 }
@@ -202,6 +213,58 @@ fn cd_coloring_line_graph_seed_1() {
 #[test]
 fn cd_coloring_line_graph_seed_2() {
     cd_line_graph(2, 0xa9ba_958d);
+}
+
+/// CD-Coloring with two levels: the second level restricts the cover to
+/// each color class's partial subset view. A fixed `t = 3` keeps the two
+/// schedules apart: the per-level one re-derives `t` from the clique
+/// size at each level (2 at the top, S = 8).
+fn cd_two_levels(per_level_t: bool, expected: u32) {
+    let lg = LineGraph::new(&regular(1));
+    let params = CdParams {
+        t: 3,
+        x: 2,
+        per_level_t,
+        ..CdParams::default()
+    };
+    let ids = IdAssignment::sequential(lg.graph.num_vertices());
+    let name = format!("cd_coloring L(G) x = 2, per_level_t = {per_level_t}");
+    assert_golden(&name, expected, || {
+        let r = cd_coloring(&lg.graph, &lg.cover, &params, &ids).unwrap();
+        (r.coloring, r.stats)
+    });
+}
+
+#[test]
+fn cd_coloring_two_levels() {
+    cd_two_levels(false, 0xa4ff_5c81);
+}
+
+#[test]
+fn cd_coloring_two_levels_per_level_t() {
+    cd_two_levels(true, 0x2ca9_3018);
+}
+
+/// The connector of a cover by every maximal clique: cliques overlap, so
+/// a pair can fall into groups of several cliques and must be kept once.
+#[test]
+fn clique_connector_overlapping_cover() {
+    let g = generators::gnm(300, 3000, 5).unwrap();
+    let cover = cover_from_all_maximal_cliques(&g).unwrap();
+    let grouped_pairs: usize = (0..cover.num_cliques())
+        .flat_map(|q| {
+            cover
+                .clique(q)
+                .chunks(3)
+                .map(|c| c.len() * (c.len() - 1) / 2)
+        })
+        .sum();
+    let kept = clique_connector(&g, &cover, 3).unwrap().graph.num_edges();
+    assert!(kept < grouped_pairs, "no pair was deduplicated");
+    assert_golden("clique_connector maximal cliques", 0x05b8_8172, || {
+        let conn = clique_connector(&g, &cover, 3).unwrap();
+        (conn.graph, NetworkStats::default())
+    });
 }
 
 #[test]
