@@ -103,7 +103,7 @@ fn empty_coloring() -> Result<ArboricityColoring, AlgoError> {
 ///
 /// [`AlgoError::InvalidParameters`] if `q < 2` or `a` underestimates the
 /// arboricity badly enough to stall the peeling.
-pub fn theorem52<G: GraphView + Sync>(
+pub fn theorem52<G: GraphView>(
     g: &G,
     a: usize,
     q: f64,
@@ -121,7 +121,7 @@ pub fn theorem52<G: GraphView + Sync>(
 /// # Errors
 ///
 /// Same as [`theorem52`], plus `intra_levels == 0`.
-pub fn theorem52_with_intra_levels<G: GraphView + Sync>(
+pub fn theorem52_with_intra_levels<G: GraphView>(
     g: &G,
     a: usize,
     q: f64,
@@ -143,7 +143,7 @@ pub fn theorem52_with_intra_levels<G: GraphView + Sync>(
 /// # Errors
 ///
 /// As [`theorem52_with_intra_levels`].
-pub fn theorem52_on<R: GraphView + Sync, V: GraphView + Sync>(
+pub fn theorem52_on<R: GraphView, V: GraphView>(
     root: &R,
     view: &V,
     a: usize,
@@ -344,7 +344,7 @@ pub fn theorem52_reference(
 /// # Errors
 ///
 /// Propagates parameter errors from the H-partition and Theorem 5.2.
-pub fn theorem53<G: GraphView + Sync>(
+pub fn theorem53<G: GraphView>(
     g: &G,
     a: usize,
     q: f64,
@@ -380,7 +380,7 @@ pub fn theorem53_reference(
 /// connector, Theorem 5.2 on the connector. Returns `None` for edgeless
 /// inputs.
 type Theorem53Head = Option<(Orientation, ArboricityColoring, NetworkStats)>;
-fn theorem53_head<G: GraphView + Sync>(
+fn theorem53_head<G: GraphView>(
     g: &G,
     a: usize,
     q: f64,
@@ -423,7 +423,7 @@ fn class_max_out_degree<G: GraphView>(g: &G, orient: &Orientation, class: &[Edge
 /// Groups the edges of `g` by `phi` (whose edge ids align with `g`) and
 /// colors every class with the view-generic Theorem 5.2 in parallel, each
 /// class a borrowed [`EdgeSubgraphView`] of `g`.
-fn combine_classes_on<G: GraphView + Sync>(
+fn combine_classes_on<G: GraphView>(
     g: &G,
     orient: &Orientation,
     phi: &EdgeColoring,
@@ -569,7 +569,7 @@ fn combine_classes_reference(
 /// # Errors
 ///
 /// [`AlgoError::InvalidParameters`] if `x == 0` or `q < 2`.
-pub fn theorem54<G: GraphView + Sync>(
+pub fn theorem54<G: GraphView>(
     g: &G,
     a: usize,
     q: f64,
@@ -689,7 +689,7 @@ struct T54Ctx {
 /// One Theorem 5.4 level over a borrowed view of the root: the bipartite
 /// connector is built straight off the view (`heads[e]` = head of local
 /// edge `e`), its classes recurse as child views with their head slices.
-fn t54_level_on<R: GraphView + Sync, V: GraphView + Sync>(
+fn t54_level_on<R: GraphView, V: GraphView>(
     root: &R,
     view: &V,
     heads: &[VertexId],
@@ -873,7 +873,7 @@ pub struct Corollary55Params {
 /// # Errors
 ///
 /// Propagates [`theorem54`] errors.
-pub fn corollary55<G: GraphView + Sync>(
+pub fn corollary55<G: GraphView>(
     g: &G,
     a: usize,
     cfg: SubroutineConfig,

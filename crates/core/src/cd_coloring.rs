@@ -133,7 +133,7 @@ pub struct CdColoring {
 /// [`AlgoError::InvalidParameters`] for `t < 2`, `x < 1`, or mismatched
 /// shapes; [`AlgoError::InvariantViolated`] if a paper lemma fails at
 /// runtime (indicates an inconsistent cover).
-pub fn cd_coloring<G: GraphView + Sync>(
+pub fn cd_coloring<G: GraphView>(
     g: &G,
     cover: &CliqueCover,
     params: &CdParams,
@@ -258,7 +258,7 @@ fn finish_cd<G: GraphView>(
 /// no per-class graph, port table, or network is ever materialized.
 /// Decisions and [`NetworkStats`] are bit-identical to [`level`].
 #[allow(clippy::too_many_arguments)]
-fn level_on<G: GraphView + Sync>(
+fn level_on<G: GraphView>(
     root: &G,
     cover: &CliqueCover,
     base: &VertexColoring,
@@ -537,7 +537,7 @@ struct ChildOutcome {
 /// # Errors
 ///
 /// Propagates [`cd_coloring`] errors.
-pub fn cd_edge_coloring<G: GraphView + Sync>(
+pub fn cd_edge_coloring<G: GraphView>(
     g: &G,
     params: &CdParams,
 ) -> Result<(decolor_graph::coloring::EdgeColoring, NetworkStats), AlgoError> {
@@ -594,7 +594,7 @@ impl Drop for ScratchDir {
 ///
 /// As [`cd_edge_coloring`], plus [`AlgoError::Graph`] for
 /// scratch-directory I/O failures.
-pub fn cd_edge_coloring_spilled<G: GraphView + Sync>(
+pub fn cd_edge_coloring_spilled<G: GraphView>(
     g: &G,
     params: &CdParams,
     scratch_dir: &Path,

@@ -12,20 +12,36 @@
 
 use decolor_graph::cliques::CliqueCover;
 use decolor_graph::subgraph::VertexSubsetView;
-use decolor_graph::{Graph, GraphBuilder, VertexId};
+use decolor_graph::{Graph, GraphBuilder, GraphError, VertexId};
 
 use crate::error::AlgoError;
 
-/// A clique connector: the graph `G′` plus the grouping that produced it.
+/// A clique connector: the graph `G′` and the group size that produced
+/// it.
 #[derive(Clone, Debug)]
 pub struct CliqueConnector {
     /// The connector graph `G′` (same vertex set as the source).
     pub graph: Graph,
-    /// For each clique of the cover, its vertex groups (each of size ≤ t,
-    /// only the last may be smaller).
-    pub groups: Vec<Vec<Vec<VertexId>>>,
     /// The group-size parameter.
     pub t: usize,
+}
+
+/// The master's grouping of one clique: its members in ascending order,
+/// cut into groups of `t` (only the last may be smaller). `sorted` is
+/// scratch space the groups borrow from.
+///
+/// # Panics
+///
+/// Panics if `t` is 0.
+pub fn clique_groups<'s>(
+    clique: &[VertexId],
+    t: usize,
+    sorted: &'s mut Vec<VertexId>,
+) -> std::slice::Chunks<'s, VertexId> {
+    sorted.clear();
+    sorted.extend_from_slice(clique);
+    sorted.sort_unstable();
+    sorted.chunks(t)
 }
 
 /// Builds the clique connector of `g` under `cover` with parameter `t`.
@@ -53,6 +69,12 @@ pub fn clique_connector(
 /// over borrowed vertex-subset views without materializing induced
 /// subgraphs.
 ///
+/// Edges come out in the order their pair first appears, group by group
+/// ([`clique_groups`]), cliques in order. A pair in groups of several
+/// cliques is kept once: each vertex records the higher endpoints of its
+/// connector edges so far, at most D(t − 1) of them (Lemma 2.1), and a
+/// new pair is checked against that short run.
+///
 /// # Errors
 ///
 /// As [`clique_connector`].
@@ -66,30 +88,52 @@ pub fn clique_connector_for(
             reason: format!("connector parameter t = {t} must be at least 2"),
         });
     }
-    let mut groups = Vec::with_capacity(cover.num_cliques());
-    let mut b = GraphBuilder::new(num_vertices);
+    let mut sorted = Vec::new();
+    // Room for the higher partners each vertex can gain: the i-th member
+    // of a group of len L has L − i − 1 of them.
+    let mut upper_start = vec![0usize; num_vertices + 1];
     for q in 0..cover.num_cliques() {
-        // Deterministic split in ascending vertex order ("the master is
-        // responsible for the computation in its clique").
-        let mut members = cover.clique(q).to_vec();
-        members.sort_unstable();
-        let mut clique_groups = Vec::with_capacity(members.len().div_ceil(t));
-        for chunk in members.chunks(t) {
-            for (i, &u) in chunk.iter().enumerate() {
-                for &v in &chunk[i + 1..] {
-                    // The same pair may share several groups across
-                    // cliques; E′ is a set, so dedup.
-                    // lint: allow(result, "the dedup builder's inserted/duplicate bool is deliberately ignored; errors still propagate via ?")
-                    let _ = b.add_edge_dedup(u.index(), v.index())?;
+        for group in clique_groups(cover.clique(q), t, &mut sorted) {
+            if group.len() < 2 {
+                continue;
+            }
+            for (i, &u) in group.iter().enumerate() {
+                let Some(room) = upper_start.get_mut(u.index() + 1) else {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: u.index(),
+                        n: num_vertices,
+                    }
+                    .into());
+                };
+                *room += group.len() - i - 1;
+            }
+        }
+    }
+    for v in 0..num_vertices {
+        upper_start[v + 1] += upper_start[v];
+    }
+    let mut upper = vec![VertexId::new(0); upper_start[num_vertices]];
+    let mut upper_end = upper_start[..num_vertices].to_vec();
+    let mut b = GraphBuilder::new_multi(num_vertices).with_edge_capacity(upper.len());
+    for q in 0..cover.num_cliques() {
+        for group in clique_groups(cover.clique(q), t, &mut sorted) {
+            if group.len() < 2 {
+                continue;
+            }
+            for (i, &u) in group.iter().enumerate() {
+                let (start, end) = (upper_start[u.index()], &mut upper_end[u.index()]);
+                for &v in &group[i + 1..] {
+                    if !upper[start..*end].contains(&v) {
+                        upper[*end] = v;
+                        *end += 1;
+                        b.add_edge(u.index(), v.index())?;
+                    }
                 }
             }
-            clique_groups.push(chunk.to_vec());
         }
-        groups.push(clique_groups);
     }
     Ok(CliqueConnector {
         graph: b.build(),
-        groups,
         t,
     })
 }
@@ -171,9 +215,11 @@ mod tests {
         // C(4,2) + C(3,2) = 6 + 3 = 9 edges per clique, shared vertex in
         // both first groups, no duplicated edges between cliques.
         assert_eq!(conn.graph.num_edges(), 18);
-        assert_eq!(conn.groups[0].len(), 2);
-        assert_eq!(conn.groups[0][0].len(), 4);
-        assert_eq!(conn.groups[0][1].len(), 3);
+        let mut sorted = Vec::new();
+        let sizes: Vec<usize> = clique_groups(cover.clique(0), 4, &mut sorted)
+            .map(<[VertexId]>::len)
+            .collect();
+        assert_eq!(sizes, [4, 3]);
     }
 
     #[test]
@@ -202,10 +248,13 @@ mod tests {
         let g = generators::complete(11).unwrap();
         let cover = cover_from_all_maximal_cliques(&g).unwrap();
         let conn = clique_connector(&g, &cover, 3).unwrap();
-        for clique_groups in &conn.groups {
-            for (i, grp) in clique_groups.iter().enumerate() {
+        let mut sorted = Vec::new();
+        for q in 0..cover.num_cliques() {
+            let groups: Vec<&[VertexId]> = clique_groups(cover.clique(q), 3, &mut sorted).collect();
+            for (i, grp) in groups.iter().enumerate() {
                 assert!(grp.len() <= 3);
-                if i + 1 < clique_groups.len() {
+                assert!(grp.windows(2).all(|w| w[0] < w[1]), "groups are ascending");
+                if i + 1 < groups.len() {
                     assert_eq!(grp.len(), 3, "only the last group may be short");
                 }
             }
@@ -227,6 +276,21 @@ mod tests {
         let g = builder_from_edges(2, &[(0, 1)]).unwrap();
         let cover = cover_from_all_maximal_cliques(&g).unwrap();
         assert!(clique_connector(&g, &cover, 1).is_err());
+    }
+
+    #[test]
+    fn cover_vertices_beyond_the_graph_are_rejected() {
+        let cover = CliqueCover::new_unchecked(4, vec![ids(&[0, 1]), ids(&[3])]).unwrap();
+        // Vertex 3 sits alone in its group, so it joins no pair.
+        assert_eq!(
+            clique_connector_for(3, &cover, 2)
+                .unwrap()
+                .graph
+                .num_edges(),
+            1
+        );
+        let cover = CliqueCover::new_unchecked(4, vec![ids(&[0, 1]), ids(&[2, 3])]).unwrap();
+        assert!(clique_connector_for(3, &cover, 2).is_err());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::error::AlgoError;
 ///   edge does not have exactly one `A`-endpoint.
 /// * [`AlgoError::InvariantViolated`] if `palette` has no free color for
 ///   some edge (i.e. `palette < Δ + d − 1` was passed).
-pub fn color_crossing_edges<V: GraphView + Sync>(
+pub fn color_crossing_edges<V: GraphView>(
     net: &mut Network<'_, V>,
     in_a: &[bool],
     edge_colors: &mut [Option<Color>],

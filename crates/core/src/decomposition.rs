@@ -469,7 +469,7 @@ fn finish_star_partition(
 
 /// One §4 star-partition level over a borrowed [`GraphView`] — the hot
 /// path; decisions are bit-identical to [`star_level`].
-fn star_level_on<V: GraphView + Sync>(
+fn star_level_on<V: GraphView>(
     root: &Graph,
     view: &V,
     t: usize,

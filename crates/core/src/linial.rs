@@ -121,12 +121,17 @@ pub(crate) fn recolor(my: u64, neighborhood: &[u64], q: u64) -> u64 {
     a * q + eval_poly(my, q, a)
 }
 
+/// Vertices recolored per work item of a network round: enough pieces
+/// that the workers even out, each large enough to amortize its claim.
+const ROUND_PIECE: usize = 1 << 12;
+
 /// One Linial recoloring round over the network: every vertex broadcasts
 /// its color ([`Network::broadcast_view`]: charged in full, read by
 /// reference), gathers its neighbors' colors once, and writes its new
 /// color from palette `m` to palette `q²` into `next`. Reads come only
-/// from the round's snapshot `colors` and writes go only to `next`, so
-/// the caller swaps the two buffers afterwards.
+/// from the round's snapshot `colors` and each vertex writes only its own
+/// slot of `next`, so the pieces of `next` are recolored on the worker
+/// pool and the caller swaps the two buffers afterwards.
 ///
 /// Precondition (checked in debug): `colors` is proper with values `< m`.
 fn linial_round<V: GraphView>(
@@ -138,12 +143,17 @@ fn linial_round<V: GraphView>(
 ) -> Result<u64, AlgoError> {
     let (q, _deg) = choose_parameters(m, delta);
     let round = net.broadcast_view(colors)?;
-    let mut neighborhood: Vec<u64> = Vec::new();
-    for (v, out) in next.iter_mut().enumerate() {
-        neighborhood.clear();
-        round.each(VertexId::new(v), |&their| neighborhood.push(their));
-        *out = recolor(colors[v], &neighborhood, q);
-    }
+    next.par_chunks_mut(ROUND_PIECE)
+        .enumerate()
+        .for_each(|(i, piece)| {
+            let mut neighborhood: Vec<u64> = Vec::new();
+            for (j, out) in piece.iter_mut().enumerate() {
+                let v = i * ROUND_PIECE + j;
+                neighborhood.clear();
+                round.each(VertexId::new(v), |&their| neighborhood.push(their));
+                *out = recolor(colors[v], &neighborhood, q);
+            }
+        });
     Ok(q * q)
 }
 
@@ -287,7 +297,7 @@ const LINIAL_CHUNK: usize = 1 << 16;
 /// # Errors
 ///
 /// As [`linial_coloring`].
-pub fn linial_coloring_chunked<V: GraphView + Sync>(
+pub fn linial_coloring_chunked<V: GraphView>(
     g: &V,
     ids: &IdAssignment,
 ) -> Result<(LinialResult, NetworkStats), AlgoError> {
@@ -314,7 +324,7 @@ pub fn linial_coloring_chunked<V: GraphView + Sync>(
 /// # Errors
 ///
 /// As [`linial_from_coloring`].
-pub fn linial_from_coloring_chunked<V: GraphView + Sync>(
+pub fn linial_from_coloring_chunked<V: GraphView>(
     g: &V,
     initial: &VertexColoring,
 ) -> Result<(LinialResult, NetworkStats), AlgoError> {
@@ -353,7 +363,7 @@ pub struct ChunkedOutcome {
 /// [`GraphError::Corrupt`](decolor_graph::GraphError::Corrupt) (via
 /// [`AlgoError::Graph`]) for a torn checkpoint or one fingerprinted for
 /// different inputs.
-pub fn linial_coloring_chunked_checkpointed<V: GraphView + Sync>(
+pub fn linial_coloring_chunked_checkpointed<V: GraphView>(
     g: &V,
     ids: &IdAssignment,
     ckpt: &std::path::Path,
@@ -377,7 +387,7 @@ pub fn linial_coloring_chunked_checkpointed<V: GraphView + Sync>(
 }
 
 /// The shared chunked-Linial engine behind both public entry points.
-fn chunked_core<V: GraphView + Sync>(
+fn chunked_core<V: GraphView>(
     g: &V,
     initial: &VertexColoring,
     ckpt: Option<&std::path::Path>,

@@ -119,7 +119,7 @@ pub struct StarPartitionResult {
 ///
 /// [`AlgoError::InvalidParameters`] for `t < 2` or `x < 1`;
 /// [`AlgoError::InvariantViolated`] if a §4 bound fails at runtime.
-pub fn star_partition_edge_coloring<G: GraphView + Sync>(
+pub fn star_partition_edge_coloring<G: GraphView>(
     g: &G,
     params: &StarPartitionParams,
 ) -> Result<StarPartitionResult, AlgoError> {
@@ -155,7 +155,7 @@ pub fn star_partition_edge_coloring<G: GraphView + Sync>(
 ///
 /// As [`star_partition_edge_coloring`], plus [`AlgoError::Graph`] for
 /// scratch-directory I/O failures.
-pub fn star_partition_edge_coloring_spilled<G: GraphView + Sync>(
+pub fn star_partition_edge_coloring_spilled<G: GraphView>(
     g: &G,
     params: &StarPartitionParams,
     scratch_dir: &Path,
@@ -233,7 +233,7 @@ fn check_params<G: GraphView>(g: &G, params: &StarPartitionParams) -> Result<(),
 /// # Errors
 ///
 /// As [`star_partition_edge_coloring`].
-pub fn star_partition_edge_coloring_on<R: GraphView + Sync>(
+pub fn star_partition_edge_coloring_on<R: GraphView>(
     root: &R,
     view: &EdgeSubgraphView<'_, R>,
     params: &StarPartitionParams,
@@ -305,7 +305,7 @@ fn finish<V: GraphView>(
 /// the single input-proportional construction; class connectors shrink
 /// geometrically and always build in RAM (`None` on recursion).
 #[allow(clippy::too_many_arguments)]
-fn stage_on<R: GraphView + Sync, V: GraphView + Sync>(
+fn stage_on<R: GraphView, V: GraphView>(
     root: &R,
     view: &V,
     t: usize,

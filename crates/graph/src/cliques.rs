@@ -20,10 +20,11 @@ pub type CliqueId = usize;
 /// A consistent clique identification of a graph.
 ///
 /// Stores the vertex list of every identified clique and, per vertex, the
-/// list of cliques it belongs to. Validity ([`CliqueCover::validate`])
-/// requires each clique to induce a complete subgraph and every edge to be
-/// inside at least one clique (this is exactly "the cliques that a vertex
-/// belongs to contain all its neighbors").
+/// list of cliques it belongs to, each as one flat CSR array pair.
+/// Validity ([`CliqueCover::validate`]) requires each clique to induce a
+/// complete subgraph and every edge to be inside at least one clique
+/// (this is exactly "the cliques that a vertex belongs to contain all its
+/// neighbors").
 ///
 /// ```rust
 /// use decolor_graph::{builder_from_edges, cliques::CliqueCover, VertexId};
@@ -39,8 +40,13 @@ pub type CliqueId = usize;
 /// ```
 #[derive(Clone, Debug)]
 pub struct CliqueCover {
-    cliques: Vec<Vec<VertexId>>,
-    membership: Vec<Vec<CliqueId>>,
+    /// Clique `q` is `members[clique_start[q]..clique_start[q + 1]]`.
+    clique_start: Vec<usize>,
+    members: Vec<VertexId>,
+    /// The cliques of vertex `v`, ascending, are
+    /// `clique_ids[member_start[v]..member_start[v + 1]]`.
+    member_start: Vec<usize>,
+    clique_ids: Vec<CliqueId>,
 }
 
 impl CliqueCover {
@@ -69,33 +75,91 @@ impl CliqueCover {
     ///
     /// [`GraphError::ValidationFailed`] on structurally malformed input.
     pub fn new_unchecked(n: usize, cliques: Vec<Vec<VertexId>>) -> Result<Self, GraphError> {
-        let mut membership = vec![Vec::new(); n];
-        for (qi, clique) in cliques.iter().enumerate() {
-            if clique.is_empty() {
+        let mut clique_start = Vec::with_capacity(cliques.len() + 1);
+        clique_start.push(0);
+        let mut members = Vec::with_capacity(cliques.iter().map(Vec::len).sum());
+        for clique in cliques {
+            members.extend(clique);
+            clique_start.push(members.len());
+        }
+        Self::from_flat(n, clique_start, members)
+    }
+
+    /// [`CliqueCover::new_unchecked`] from the flat form: clique `q` is
+    /// `members[clique_start[q]..clique_start[q + 1]]`, so `clique_start`
+    /// has one more entry than there are cliques and starts at 0.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::ValidationFailed`] if `clique_start` is not a
+    /// nondecreasing run from 0 to `members.len()`, or a clique is empty,
+    /// mentions a vertex `≥ n` or repeats a vertex.
+    pub fn from_flat(
+        n: usize,
+        clique_start: Vec<usize>,
+        members: Vec<VertexId>,
+    ) -> Result<Self, GraphError> {
+        if clique_start.first() != Some(&0)
+            || clique_start.last() != Some(&members.len())
+            || clique_start.windows(2).any(|w| w[1] < w[0])
+        {
+            return Err(GraphError::ValidationFailed {
+                reason: format!(
+                    "clique offsets must be a nondecreasing run from 0 to the {} members",
+                    members.len()
+                ),
+            });
+        }
+        // `stamp[v]` is one past the last clique that mentioned v.
+        let mut stamp = vec![0usize; n];
+        for (qi, w) in clique_start.windows(2).enumerate() {
+            if w[1] == w[0] {
                 return Err(GraphError::ValidationFailed {
                     reason: format!("clique {qi} is empty"),
                 });
             }
-            let mut sorted = clique.clone();
-            sorted.sort_unstable();
-            if sorted.windows(2).any(|w| w[0] == w[1]) {
-                return Err(GraphError::ValidationFailed {
-                    reason: format!("clique {qi} repeats a vertex"),
-                });
-            }
-            for &v in clique {
-                if v.index() >= n {
+            for &v in &members[w[0]..w[1]] {
+                let Some(seen) = stamp.get_mut(v.index()) else {
                     return Err(GraphError::ValidationFailed {
                         reason: format!("clique {qi} mentions out-of-range vertex {v}"),
                     });
+                };
+                if *seen == qi + 1 {
+                    return Err(GraphError::ValidationFailed {
+                        reason: format!("clique {qi} repeats a vertex"),
+                    });
                 }
-                membership[v.index()].push(qi);
+                *seen = qi + 1;
             }
         }
-        Ok(CliqueCover {
-            cliques,
-            membership,
-        })
+        Ok(Self::assemble(n, clique_start, members))
+    }
+
+    /// Adds the per-vertex membership lists to a well-formed flat clique
+    /// list: a counting sort over the cliques in order, so each vertex's
+    /// cliques come out ascending.
+    fn assemble(n: usize, clique_start: Vec<usize>, members: Vec<VertexId>) -> CliqueCover {
+        let mut member_start = vec![0usize; n + 1];
+        for &v in &members {
+            member_start[v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            member_start[v + 1] += member_start[v];
+        }
+        let mut cursor = member_start[..n].to_vec();
+        let mut clique_ids = vec![0; members.len()];
+        for (q, w) in clique_start.windows(2).enumerate() {
+            for &v in &members[w[0]..w[1]] {
+                clique_ids[cursor[v.index()]] = q;
+                cursor[v.index()] += 1;
+            }
+        }
+        CliqueCover {
+            clique_start,
+            members,
+            member_start,
+            clique_ids,
+        }
     }
 
     /// Checks that every clique is complete in `g` and every edge of `g`
@@ -105,16 +169,17 @@ impl CliqueCover {
     ///
     /// [`GraphError::ValidationFailed`] describing the first violation.
     pub fn validate(&self, g: &Graph) -> Result<(), GraphError> {
-        if self.membership.len() != g.num_vertices() {
+        if self.num_vertices() != g.num_vertices() {
             return Err(GraphError::ValidationFailed {
                 reason: format!(
                     "cover built for {} vertices, graph has {}",
-                    self.membership.len(),
+                    self.num_vertices(),
                     g.num_vertices()
                 ),
             });
         }
-        for (qi, clique) in self.cliques.iter().enumerate() {
+        for qi in 0..self.num_cliques() {
+            let clique = self.clique(qi);
             for (i, &u) in clique.iter().enumerate() {
                 for &v in &clique[i + 1..] {
                     if !g.has_edge(u, v) {
@@ -127,9 +192,10 @@ impl CliqueCover {
         }
         // Edge coverage: each edge must appear inside some clique.
         for (e, [u, v]) in g.edge_list() {
-            let covered = self.membership[u.index()]
+            let covered = self
+                .cliques_of(u)
                 .iter()
-                .any(|&qi| self.cliques[qi].contains(&v));
+                .any(|&qi| self.clique(qi).contains(&v));
             if !covered {
                 return Err(GraphError::ValidationFailed {
                     reason: format!("edge {e} = ({u},{v}) not covered by any clique"),
@@ -139,9 +205,14 @@ impl CliqueCover {
         Ok(())
     }
 
+    /// Number of vertices the cover was built for.
+    fn num_vertices(&self) -> usize {
+        self.member_start.len() - 1
+    }
+
     /// Number of identified cliques.
     pub fn num_cliques(&self) -> usize {
-        self.cliques.len()
+        self.clique_start.len() - 1
     }
 
     /// Vertices of clique `q`.
@@ -150,32 +221,35 @@ impl CliqueCover {
     ///
     /// Panics if `q` is out of range.
     pub fn clique(&self, q: CliqueId) -> &[VertexId] {
-        &self.cliques[q]
+        &self.members[self.clique_start[q]..self.clique_start[q + 1]]
     }
 
-    /// All cliques.
-    pub fn cliques(&self) -> &[Vec<VertexId>] {
-        &self.cliques
-    }
-
-    /// Cliques containing vertex `v`.
+    /// Cliques containing vertex `v`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn cliques_of(&self, v: VertexId) -> &[CliqueId] {
-        &self.membership[v.index()]
+        &self.clique_ids[self.member_start[v.index()]..self.member_start[v.index() + 1]]
     }
 
     /// The diversity `D`: maximal number of identified cliques any vertex
     /// belongs to (0 for the empty cover).
     pub fn diversity(&self) -> usize {
-        self.membership.iter().map(Vec::len).max().unwrap_or(0)
+        self.member_start
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
     /// The maximal clique size `S` (0 for the empty cover).
     pub fn max_clique_size(&self) -> usize {
-        self.cliques.iter().map(Vec::len).max().unwrap_or(0)
+        self.clique_start
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
     /// The *clique master* of clique `q`: its highest-ID vertex, per §2.
@@ -184,11 +258,28 @@ impl CliqueCover {
     ///
     /// Panics if `q` is out of range or empty (excluded by construction).
     pub fn master(&self, q: CliqueId) -> VertexId {
-        *self.cliques[q]
+        *self
+            .clique(q)
             .iter()
             .max()
             // lint: allow(panic, "cliques are nonempty by construction")
             .expect("cliques are nonempty by construction")
+    }
+
+    /// Keeps, clique by clique, the vertices `local` maps to a local id,
+    /// and drops the cliques left empty: the cover of a vertex subset of
+    /// size `n`. `local` must map distinct vertices to distinct ids below
+    /// `n`, which keeps the result well-formed.
+    fn restrict_with(&self, n: usize, local: impl Fn(VertexId) -> Option<VertexId>) -> CliqueCover {
+        let mut clique_start = vec![0];
+        let mut members = Vec::new();
+        for q in 0..self.num_cliques() {
+            members.extend(self.clique(q).iter().filter_map(|&v| local(v)));
+            if members.len() > clique_start[clique_start.len() - 1] {
+                clique_start.push(members.len());
+            }
+        }
+        Self::assemble(n, clique_start, members)
     }
 
     /// Restricts the cover to an induced subgraph: each clique is
@@ -199,39 +290,23 @@ impl CliqueCover {
     /// recursion (each clique of `G_i` is a subset of a clique of `G`,
     /// Lemma 2.3).
     pub fn restrict(&self, sub: &crate::subgraph::InducedSubgraph) -> CliqueCover {
-        let mut cliques = Vec::new();
-        for clique in &self.cliques {
-            let local: Vec<VertexId> = clique
-                .iter()
-                .filter_map(|&v| sub.from_parent_vertex(v))
-                .collect();
-            if !local.is_empty() {
-                cliques.push(local);
-            }
-        }
-        CliqueCover::new_unchecked(sub.graph().num_vertices(), cliques)
-            // lint: allow(panic, "restriction of a well-formed cover is well-formed")
-            .expect("restriction of a well-formed cover is well-formed")
+        self.restrict_with(sub.graph().num_vertices(), |v| sub.from_parent_vertex(v))
     }
 
     /// [`CliqueCover::restrict`] for a borrowed
     /// [`VertexSubsetView`](crate::subgraph::VertexSubsetView): identical
     /// output without materializing the induced subgraph (the view's local
-    /// ids equal the subgraph's for ascending subsets).
+    /// ids equal the subgraph's for ascending subsets). A view of every
+    /// vertex is the identity, so its restriction is a copy.
     pub fn restrict_to_subset<P: crate::subgraph::GraphView>(
         &self,
         view: &crate::subgraph::VertexSubsetView<'_, P>,
     ) -> CliqueCover {
-        let mut cliques = Vec::new();
-        for clique in &self.cliques {
-            let local: Vec<VertexId> = clique.iter().filter_map(|&v| view.local_of(v)).collect();
-            if !local.is_empty() {
-                cliques.push(local);
-            }
+        let n = view.num_vertices();
+        if n == self.num_vertices() && n == view.parent().num_vertices() {
+            return self.clone();
         }
-        CliqueCover::new_unchecked(view.num_vertices(), cliques)
-            // lint: allow(panic, "restriction of a well-formed cover is well-formed")
-            .expect("restriction of a well-formed cover is well-formed")
+        self.restrict_with(n, |v| view.local_of(v))
     }
 
     /// The trivial cover of an edgeless-or-not graph by one clique per edge
@@ -380,6 +455,31 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_vertex_rejected() {
+        assert!(CliqueCover::new_unchecked(3, vec![ids(&[0, 1]), ids(&[2, 3])]).is_err());
+    }
+
+    #[test]
+    fn flat_offsets_must_span_the_members() {
+        let members = ids(&[0, 1, 2]);
+        for bad in [
+            vec![],
+            vec![1, 3],
+            vec![0, 2],
+            vec![0, 2, 1, 3],
+            vec![0, 4, 3],
+        ] {
+            assert!(
+                CliqueCover::from_flat(3, bad.clone(), members.clone()).is_err(),
+                "{bad:?}"
+            );
+        }
+        let cover = CliqueCover::from_flat(3, vec![0, 2, 3], members).unwrap();
+        assert_eq!(cover.clique(0), ids(&[0, 1]).as_slice());
+        assert_eq!(cover.cliques_of(VertexId::new(2)), &[1]);
+    }
+
+    #[test]
     fn bron_kerbosch_on_bowtie() {
         let g = bowtie();
         let mut cliques = maximal_cliques(&g);
@@ -431,6 +531,25 @@ mod tests {
         assert_eq!(restricted.num_cliques(), 2);
         assert_eq!(restricted.max_clique_size(), 2);
         assert!(restricted.diversity() <= cover.diversity());
+    }
+
+    #[test]
+    fn restrict_to_subset_matches_restrict() {
+        let g = bowtie();
+        let cover = CliqueCover::new(&g, vec![ids(&[0, 1, 2]), ids(&[2, 3, 4])]).unwrap();
+        let cliques = |c: &CliqueCover| -> Vec<Vec<VertexId>> {
+            (0..c.num_cliques()).map(|q| c.clique(q).to_vec()).collect()
+        };
+        for keep in [vec![0, 1, 2, 3, 4], vec![1, 2, 3], vec![0, 1], vec![3]] {
+            let view = crate::subgraph::VertexSubsetView::new(&g, ids(&keep)).unwrap();
+            let sub = crate::subgraph::InducedSubgraph::new(&g, &ids(&keep));
+            let (a, b) = (cover.restrict_to_subset(&view), cover.restrict(&sub));
+            assert_eq!(cliques(&a), cliques(&b), "{keep:?}");
+            for v in sub.graph().vertices() {
+                assert_eq!(a.cliques_of(v), b.cliques_of(v), "{keep:?}");
+            }
+            a.validate(sub.graph()).unwrap();
+        }
     }
 
     #[test]

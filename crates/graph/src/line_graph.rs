@@ -67,18 +67,9 @@ impl LineGraph {
             }
         }
         let graph = b.build();
-        let cliques: Vec<Vec<VertexId>> = g
-            .vertices()
-            .filter(|&v| g.degree(v) > 0)
-            .map(|v| {
-                g.incident_edges(v)
-                    .map(|e| VertexId::new(e.index()))
-                    .collect()
-            })
-            .collect();
         let cover =
             // lint: allow(panic, "canonical line cover is well-formed")
-            CliqueCover::new_unchecked(m, cliques).expect("canonical line cover is well-formed");
+            line_graph_cover(g).expect("canonical line cover is well-formed");
         LineGraph { graph, cover }
     }
 
@@ -189,17 +180,15 @@ pub fn line_graph_stream<G: GraphView, S: EdgeSink>(g: &G, sink: &mut S) -> Resu
 /// [`GraphError::ValidationFailed`] if the cover shape is malformed
 /// (unreachable for well-formed views).
 pub fn line_graph_cover<G: GraphView>(g: &G) -> Result<CliqueCover, GraphError> {
-    let m = g.num_edges();
-    let cliques: Vec<Vec<VertexId>> = (0..g.num_vertices())
-        .map(VertexId::new)
-        .filter(|&v| g.degree(v) > 0)
-        .map(|v| {
-            let mut clique = Vec::with_capacity(g.degree(v));
-            g.for_each_incident_edge(v, |e| clique.push(VertexId::new(e.index())));
-            clique
-        })
-        .collect();
-    CliqueCover::new_unchecked(m, cliques)
+    let mut clique_start = vec![0];
+    let mut members = Vec::with_capacity(2 * g.num_edges());
+    for v in (0..g.num_vertices()).map(VertexId::new) {
+        g.for_each_incident_edge(v, |e| members.push(VertexId::new(e.index())));
+        if members.len() > clique_start[clique_start.len() - 1] {
+            clique_start.push(members.len());
+        }
+    }
+    CliqueCover::from_flat(g.num_edges(), clique_start, members)
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use memmap2::{Mmap, MmapMut};
+use rayon::prelude::*;
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -973,11 +974,11 @@ impl ShardedCsrBuilder {
         let faults = faults.as_ref();
         let entries = self.shard_entries();
 
-        // Offset table + scatter cursors from the degree counts, staged
+        // Offset table + first slot per vertex from the degree counts, staged
         // into offsets.bin.tmp and renamed into place once durable.
         let offsets_path = self.dir.join("offsets.bin");
         let offsets_tmp = tmp_path(&offsets_path);
-        let mut cursor: Vec<u64> = Vec::with_capacity(self.n);
+        let mut start: Vec<u64> = Vec::with_capacity(self.n);
         let mut max_degree = 0usize;
         let offsets_rec = {
             let mut w = ShardWriter::create(offsets_tmp.clone(), "offsets".into())?;
@@ -986,7 +987,7 @@ impl ShardedCsrBuilder {
             w.write(&acc.to_le_bytes(), faults)?;
             crc.update(&acc.to_le_bytes());
             for &d in &self.degree {
-                cursor.push(acc);
+                start.push(acc);
                 acc = num::add_offset(acc, u64::from(d))?;
                 max_degree = max_degree.max(num::usize_from(d));
                 w.write(&acc.to_le_bytes(), faults)?;
@@ -1028,27 +1029,9 @@ impl ShardedCsrBuilder {
             let map = MmapMut::map_mut(&f).map_err(|e| io_err("cannot map", &path, e))?;
             adj_maps.push((f, map));
         }
-        let mask = (1u64 << self.shard_bits) - 1;
-        let shard_bits = self.shard_bits;
-        let store = |maps: &mut [(File, MmapMut)], slot: u64, neighbor: u32, e: u32| {
-            // lint: allow(cast, "slot >> shard_bits is below the adjacency shard count sized above")
-            let shard = (slot >> shard_bits) as usize;
-            // lint: allow(cast, "masked to < 2^shard_bits entries, which fits the mapped shard") lint: allow(arith, "within * ENTRY is inside the shard file sized above")
-            let within = (slot & mask) as usize * ENTRY;
-            // lint: allow(arith, "within + ENTRY <= the shard byte length sized above")
-            let buf = &mut maps[shard].1[within..within + ENTRY];
-            buf[0..4].copy_from_slice(&neighbor.to_le_bytes());
-            buf[4..8].copy_from_slice(&e.to_le_bytes());
-        };
-
-        // Pass 2: stream the spooled endpoints back in edge order and
-        // scatter both incidence slots — exactly `Graph::from_parts`.
-        // Each spool shard is checksummed for the manifest and fsynced on
-        // the way through (when journaling, the checkpoint above already
-        // made them durable).
+        // Map the spool back in, checking every shard's length.
         let ep_shards = self.m.div_ceil(entries).max(1);
-        let mut ep_recs = Vec::with_capacity(ep_shards);
-        let mut e = 0u32;
+        let mut spool: Vec<(PathBuf, File, Mmap)> = Vec::with_capacity(ep_shards);
         for k in 0..ep_shards {
             let path = self.dir.join(format!("ep.{k}"));
             let f = File::open(&path).map_err(|e| io_err("cannot open", &path, e))?;
@@ -1068,29 +1051,40 @@ impl ShardedCsrBuilder {
                     ),
                 });
             }
-            for chunk in map.chunks_exact(ENTRY) {
-                let (lo, hi) = unpack(chunk);
-                let (ul, uh) = (num::usize_from(lo), num::usize_from(hi));
-                store(&mut adj_maps, cursor[ul], hi, e);
-                // lint: allow(arith, "each cursor advances once per incidence slot, bounded by 2m")
-                cursor[ul] += 1;
-                store(&mut adj_maps, cursor[uh], lo, e);
-                // lint: allow(arith, "each cursor advances once per incidence slot, bounded by 2m")
-                cursor[uh] += 1;
-                e += 1;
-            }
+            spool.push((path, f, map));
+        }
+
+        // Pass 2: scatter both incidence slots of every spooled edge,
+        // then checksum every spool and adjacency file for the manifest,
+        // the files concurrently.
+        let spool_maps: Vec<&[u8]> = spool.iter().map(|(_, _, map)| &map[..]).collect();
+        scatter(&mut adj_maps, &start, &spool_maps, self.shard_bits)?;
+        let files: Vec<&[u8]> = spool_maps
+            .iter()
+            .copied()
+            .chain(adj_maps.iter().map(|(_, map)| &map[..]))
+            .collect();
+        let crcs: Vec<u32> = files.par_iter().map(|bytes| crc32(bytes)).collect();
+        let (ep_crcs, adj_crcs) = crcs.split_at(ep_shards);
+
+        // Fsync each spool shard (when journaling, the checkpoint above
+        // already made them durable), then msync and fsync each
+        // adjacency shard.
+        let mut ep_recs = Vec::with_capacity(ep_shards);
+        for (k, ((path, f, map), &crc)) in spool.iter().zip(ep_crcs).enumerate() {
             ep_recs.push(FileRecord {
-                len: num::to_u64(expect_bytes),
-                crc: crc32(&map),
+                len: num::to_u64(map.len()),
+                crc,
             });
             barrier(faults, &format!("ep.{k}.sync"))?;
-            f.sync_all().map_err(|e| io_err("cannot fsync", &path, e))?;
+            f.sync_all().map_err(|e| io_err("cannot fsync", path, e))?;
         }
+        drop(spool);
         let mut adj_recs = Vec::with_capacity(adj_shards);
-        for (k, (f, map)) in adj_maps.iter().enumerate() {
+        for (k, ((f, map), &crc)) in adj_maps.iter().zip(adj_crcs).enumerate() {
             adj_recs.push(FileRecord {
                 len: num::to_u64(map.len()),
-                crc: crc32(map),
+                crc,
             });
             barrier(faults, &format!("adj.{k}.msync"))?;
             map.flush()
@@ -1131,6 +1125,105 @@ impl ShardedCsrBuilder {
             fsync_dir(&self.dir)?;
         }
         ShardedCsr::open(&self.dir)
+    }
+}
+
+/// The adjacency slots `lo..hi` one worker of [`scatter`] owns, as byte
+/// pieces of the shard maps: piece `j` lies in shard `(lo >> shard_bits)
+/// + j`, cut at the shard boundaries and at `lo` and `hi`.
+struct SlotRun<'a> {
+    lo: u64,
+    hi: u64,
+    pieces: Vec<&'a mut [u8]>,
+}
+
+/// Pass 2 of [`ShardedCsrBuilder::finish`]: replays the spooled
+/// endpoints in edge order and writes both incidence slots of each edge,
+/// exactly as `Graph::from_parts` fills its CSR. `start[v]` is the first
+/// slot of vertex `v`.
+///
+/// The slots are cut into one contiguous run per worker. Each worker
+/// replays the whole spool but keeps cursors only for the vertices whose
+/// slots overlap its run, and writes only the slots it owns, so every
+/// slot is written once, by one worker, with the bytes the sequential
+/// pass writes.
+fn scatter(
+    adj: &mut [(File, MmapMut)],
+    start: &[u64],
+    spool: &[&[u8]],
+    shard_bits: u32,
+) -> Result<(), GraphError> {
+    let slots = adj.iter().try_fold(0u64, |acc, (_, map)| {
+        num::add_offset(acc, num::to_u64(map.len() / ENTRY))
+    })?;
+    let workers = num::to_u64(rayon::current_num_threads().max(1));
+    let mut shards = adj.iter_mut().map(|(_, map)| &mut map[..]);
+    let mut current: &mut [u8] = &mut [];
+    let mut runs = Vec::new();
+    for w in 0..workers {
+        // lint: allow(arith, "slots <= 2m < 2^33 and w < workers <= the core count, so the products fit u64")
+        let (lo, hi) = (slots * w / workers, slots * (w + 1) / workers);
+        let mut pieces = Vec::new();
+        let mut need = num::byte_len(num::to_usize(hi - lo)?, ENTRY)?;
+        while need > 0 {
+            if current.is_empty() {
+                current = shards.next().ok_or_else(|| GraphError::InvalidParameters {
+                    reason: "adjacency shards hold fewer slots than the spool".into(),
+                })?;
+            }
+            let take = need.min(current.len());
+            let (head, tail) = std::mem::take(&mut current).split_at_mut(take);
+            need -= take;
+            pieces.push(head);
+            current = tail;
+        }
+        runs.push(SlotRun { lo, hi, pieces });
+    }
+    runs.par_chunks_mut(1).for_each(|runs| {
+        for run in runs {
+            scatter_run(run, start, spool, shard_bits);
+        }
+    });
+    Ok(())
+}
+
+/// One worker's share of [`scatter`].
+fn scatter_run(run: &mut SlotRun<'_>, start: &[u64], spool: &[&[u8]], shard_bits: u32) {
+    if run.lo == run.hi {
+        return;
+    }
+    // The vertices whose slots can overlap `lo..hi` (possibly one more
+    // before them, whose slots all lie below `lo`).
+    let first = start.partition_point(|&s| s <= run.lo).saturating_sub(1);
+    let last = start.partition_point(|&s| s < run.hi);
+    let mut cursor = start[first..last].to_vec();
+    let first_shard = run.lo >> shard_bits;
+    let mut e = 0u32;
+    for chunk in spool.iter().flat_map(|shard| shard.chunks_exact(ENTRY)) {
+        let (lo, hi) = unpack(chunk);
+        for (v, neighbor) in [(lo, hi), (hi, lo)] {
+            let Some(slot) = num::usize_from(v)
+                .checked_sub(first)
+                .and_then(|i| cursor.get_mut(i))
+            else {
+                continue;
+            };
+            let at = *slot;
+            // lint: allow(arith, "each cursor advances once per incidence slot, bounded by 2m")
+            *slot += 1;
+            if at < run.lo || at >= run.hi {
+                continue;
+            }
+            let shard = at >> shard_bits;
+            let base = run.lo.max(shard << shard_bits);
+            // lint: allow(cast, "shard - first_shard indexes this run's pieces, one per shard it spans") lint: allow(arith, "at - base < 2^shard_bits entries, inside the piece")
+            let (piece, within) = ((shard - first_shard) as usize, (at - base) as usize * ENTRY);
+            // lint: allow(arith, "within + ENTRY <= the piece's byte length")
+            let buf = &mut run.pieces[piece][within..within + ENTRY];
+            buf[0..4].copy_from_slice(&neighbor.to_le_bytes());
+            buf[4..8].copy_from_slice(&e.to_le_bytes());
+        }
+        e = e.wrapping_add(1);
     }
 }
 
@@ -1222,6 +1315,34 @@ mod tests {
         assert_matches_graph(&sc, &g);
         drop(sc);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scatter_splits_slots_at_any_pool_width() {
+        // Isolated vertices and a hub whose run straddles shards and
+        // worker boundaries; every width must write the same bytes.
+        let mut gb = crate::GraphBuilder::new(70);
+        for v in 10..60 {
+            gb.add_edge(5, v).unwrap();
+        }
+        for v in 10..59 {
+            gb.add_edge(v, v + 1).unwrap();
+        }
+        let g = gb.build();
+        for threads in [1, 2, 3, 7] {
+            let dir = scratch(&format!("widths-{threads}"));
+            let sc = rayon::with_num_threads(threads, || {
+                let mut b = ShardedCsrBuilder::with_shard_bits(&dir, 70, 4).unwrap();
+                for (_, [u, v]) in g.edge_list() {
+                    b.push_edge(u.index(), v.index()).unwrap();
+                }
+                b.finish().unwrap()
+            });
+            assert_matches_graph(&sc, &g);
+            sc.verify().unwrap();
+            drop(sc);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -287,7 +287,10 @@ impl RankedBits {
 /// (dense `0..num_edges()`, matching the materialized subgraph's ids);
 /// vertex identifiers are whatever the implementor's vertex space is (the
 /// parent's for spanning edge views).
-pub trait GraphView {
+///
+/// Every view is `Sync`: the pipelines share one topology across the
+/// worker pool, and a view is read-only.
+pub trait GraphView: Sync {
     /// Number of vertices in the view's vertex space.
     fn num_vertices(&self) -> usize;
     /// Number of (active) edges; local edge ids are `0..num_edges()`.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full equivalence matrix: the workspace test suite under
-# DECOLOR_THREADS ∈ {1, 4}, plus the scaling perf-smoke across
+# DECOLOR_THREADS ∈ {1, 4} (and, with overflow checks, 2), plus the scaling perf-smoke across
 # backend ∈ {ram, mmap} at both pool sizes — so every push exercises the
 # thread-count-invariance AND storage-backend-equivalence proptests on
 # the complete matrix (the in-process tests pin mmap ≡ ram bit-for-bit;
@@ -48,6 +48,12 @@ for threads in 1 4; do
     DECOLOR_THREADS=$threads cargo run --release -q -p decolor-bench --bin scaling -- \
         --quick --backend mmap --checkpoint
 done
+if [[ "$QUICK" == 0 ]]; then
+    # Width 2: one helper thread next to the caller, and a two-way slot
+    # split in the store build's scatter.
+    echo "=== cargo test, overflow checks on (DECOLOR_THREADS=2) ==="
+    DECOLOR_THREADS=2 RUSTFLAGS="-C overflow-checks=on" cargo test -q --workspace
+fi
 echo "=== scaling --quick --threads 1,4 (in-process thread axis) ==="
 cargo run --release -q -p decolor-bench --bin scaling -- --quick --threads 1,4
 grep -q '"threads":1' target/experiments.jsonl
