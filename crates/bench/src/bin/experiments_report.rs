@@ -8,8 +8,9 @@
 //! The report is written to stdout so the wrapper script
 //! (`scripts/experiments-report.sh`) can place it; records accumulate
 //! across runs, so re-running after a change shows both measurements
-//! side by side (rows measured through a `*_reference` path are tagged
-//! `[reference]` in their workload string by the emitting bin).
+//! side by side (rows measured on the mmap backend or a relaid-out
+//! workload are tagged `[mmap]` / `[relayout]` in their workload string
+//! by the emitting bin).
 
 use std::collections::BTreeMap;
 

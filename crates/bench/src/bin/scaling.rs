@@ -30,8 +30,6 @@
 //! * `--only <linial|star|t52|cd|t53|t54>` — run a single row (gives clean
 //!   per-row peak-RSS numbers; `VmHWM` is a process-lifetime high-water
 //!   mark, so in a full run the column is cumulative across rows).
-//! * `--reference` — run the composite rows through the kept
-//!   materializing `*_reference` paths (ram backend only).
 //! * `--backend <ram|mmap>` — storage backend (see above).
 //! * `--max-n <N>` — extend the size ladder up to `N` (default 1048576;
 //!   ladder stops at 10⁸).
@@ -58,17 +56,14 @@ use decolor_bench::{
     append_record, arboricity_workload, markdown_table, peak_rss_mb, regular_workload, Record,
 };
 use decolor_core::analysis;
-use decolor_core::arboricity::{
-    theorem52, theorem52_reference, theorem53, theorem53_reference, theorem54, theorem54_reference,
-};
-use decolor_core::cd_coloring::{cd_coloring, cd_coloring_reference, CdParams};
+use decolor_core::arboricity::{theorem52, theorem53, theorem54};
+use decolor_core::cd_coloring::{cd_coloring, CdParams};
 use decolor_core::delta_plus_one::SubroutineConfig;
 use decolor_core::linial::{
     linial_coloring, linial_coloring_chunked, linial_coloring_chunked_checkpointed,
 };
 use decolor_core::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_reference,
-    star_partition_edge_coloring_spilled, StarPartitionParams,
+    star_partition_edge_coloring, star_partition_edge_coloring_spilled, StarPartitionParams,
 };
 use decolor_graph::line_graph::{line_graph_cover, line_graph_stream, LineGraph};
 use decolor_graph::storage::{ShardedCsr, ShardedCsrBuilder};
@@ -173,7 +168,6 @@ fn relay(g: &Graph) -> Graph {
 struct LadderCfg<'a> {
     sizes: &'a [usize],
     mmap: bool,
-    reference: bool,
     checkpoint: bool,
     journal_every: usize,
     relayout: bool,
@@ -184,7 +178,6 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
     let (nproc, threads) = decolor_bench::pool_provenance();
     let &LadderCfg {
         mmap,
-        reference,
         checkpoint,
         journal_every,
         relayout,
@@ -290,12 +283,8 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
                 let (m, delta) = (g.num_edges(), g.max_degree());
                 let out = run_star(
                     &|| {
-                        if reference {
-                            star_partition_edge_coloring_reference(&colored, &params)
-                        } else {
-                            star_partition_edge_coloring(&colored, &params)
-                        }
-                        .expect("star partition succeeds")
+                        star_partition_edge_coloring(&colored, &params)
+                            .expect("star partition succeeds")
                     },
                     m,
                     delta,
@@ -341,12 +330,8 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
             } else {
                 let colored = if relayout { relay(&ga) } else { ga.clone() };
                 let started = Instant::now();
-                let t52 = if reference {
-                    theorem52_reference(&colored, 2, 2.5, SubroutineConfig::default())
-                } else {
-                    theorem52(&colored, 2, 2.5, SubroutineConfig::default())
-                }
-                .expect("theorem 5.2 succeeds");
+                let t52 = theorem52(&colored, 2, 2.5, SubroutineConfig::default())
+                    .expect("theorem 5.2 succeeds");
                 let secs = started.elapsed().as_secs_f64();
                 assert!(t52.coloring.is_proper(&ga));
                 (t52, secs)
@@ -410,12 +395,8 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
                 let params = CdParams::for_levels(lg.cover.max_clique_size(), 1);
                 let ids = IdAssignment::sequential(lg.graph.num_vertices());
                 let started = Instant::now();
-                let cd = if reference {
-                    cd_coloring_reference(&lg.graph, &lg.cover, &params, &ids)
-                } else {
-                    cd_coloring(&lg.graph, &lg.cover, &params, &ids)
-                }
-                .expect("cd coloring succeeds");
+                let cd =
+                    cd_coloring(&lg.graph, &lg.cover, &params, &ids).expect("cd coloring succeeds");
                 let secs = started.elapsed().as_secs_f64();
                 assert!(cd.coloring.is_proper(&lg.graph));
                 let (lg_n, lg_m, lg_delta) = (
@@ -484,10 +465,9 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
             };
             if runs("t53") {
                 let started = Instant::now();
-                let res = match (&spilled, reference) {
-                    (Some((g, _)), _) => theorem53(g, 2, 2.5, cfg53),
-                    (None, true) => theorem53_reference(&ga, 2, 2.5, cfg53),
-                    (None, false) => theorem53(&ga, 2, 2.5, cfg53),
+                let res = match &spilled {
+                    Some((g, _)) => theorem53(g, 2, 2.5, cfg53),
+                    None => theorem53(&ga, 2, 2.5, cfg53),
                 }
                 .expect("theorem 5.3 succeeds");
                 let secs = started.elapsed().as_secs_f64();
@@ -503,10 +483,9 @@ fn run_ladder(cfg: &LadderCfg<'_>, runs: impl Fn(&str) -> bool) -> Vec<Vec<Strin
             }
             if runs("t54") {
                 let started = Instant::now();
-                let res = match (&spilled, reference) {
-                    (Some((g, _)), _) => theorem54(g, 2, 2.5, 2, cfg53),
-                    (None, true) => theorem54_reference(&ga, 2, 2.5, 2, cfg53),
-                    (None, false) => theorem54(&ga, 2, 2.5, 2, cfg53),
+                let res = match &spilled {
+                    Some((g, _)) => theorem54(g, 2, 2.5, 2, cfg53),
+                    None => theorem54(&ga, 2, 2.5, 2, cfg53),
                 }
                 .expect("theorem 5.4 succeeds");
                 let secs = started.elapsed().as_secs_f64();
@@ -576,13 +555,26 @@ fn print_ladder(rows: &[Vec<String>]) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let reference = args.iter().any(|a| a == "--reference");
     let flag_value = |name: &str| {
         args.iter()
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
             .map(String::as_str)
     };
+    // Anything else fails loudly rather than running the default ladder.
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" | "--checkpoint" | "--relayout" => {}
+            "--only" | "--backend" | "--max-n" | "--threads" => {
+                rest.next();
+            }
+            other => {
+                eprintln!("unknown argument `{other}`");
+                std::process::exit(1);
+            }
+        }
+    }
     let only: Option<String> = flag_value("--only").map(str::to_string);
     let backend = flag_value("--backend").unwrap_or("ram");
     let mmap = match backend {
@@ -593,10 +585,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if mmap && reference {
-        eprintln!("--reference runs the materializing paths, which are ram-only");
-        std::process::exit(1);
-    }
     let checkpoint = args.iter().any(|a| a == "--checkpoint");
     if checkpoint && !mmap {
         eprintln!("--checkpoint applies to the out-of-core paths; add --backend mmap");
@@ -640,20 +628,15 @@ fn main() {
     } else {
         SIZES.iter().copied().filter(|&n| n <= max_n).collect()
     };
-    let path = if reference {
-        "materializing *_reference paths"
-    } else if mmap {
+    let path = if mmap {
         "out-of-core mmap backend (sharded CSR + chunked Linial)"
     } else {
         "borrowed-view paths"
     };
-    // Rows measured under --reference / --backend mmap / --relayout are
-    // tagged in the provenance records so EXPERIMENTS.md can tell the
-    // paths apart.
+    // Rows measured under --backend mmap / --relayout are tagged in the
+    // provenance records so EXPERIMENTS.md can tell the paths apart.
     let mut tag = String::new();
-    if reference {
-        tag.push_str(" [reference]");
-    } else if mmap {
+    if mmap {
         tag.push_str(" [mmap]");
     }
     if relayout {
@@ -662,7 +645,6 @@ fn main() {
     let cfg = LadderCfg {
         sizes: &sizes,
         mmap,
-        reference,
         checkpoint,
         journal_every,
         relayout,

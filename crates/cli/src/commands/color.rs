@@ -15,6 +15,7 @@ use decolor_graph::coloring::EdgeColoring;
 use decolor_graph::subgraph::GraphView;
 use decolor_graph::Graph;
 use decolor_runtime::NetworkStats;
+use std::path::{Path, PathBuf};
 
 use crate::args::{opt_f64, opt_usize, parse_kv, Parsed};
 use crate::spec::build_graph;
@@ -106,10 +107,15 @@ fn certificate_report(algo: &str, g: &Graph, coloring: &EdgeColoring) -> Result<
     Ok(verify::render_report(&checks))
 }
 
-/// Algorithms [`dispatch_mmap`] handles. The unsupported-algorithm error
-/// message is derived from this table, and `mmap_dispatch_matches_ram`
-/// pins that every listed name actually dispatches — so the list cannot
-/// drift from the match arms.
+/// A coloring, its LOCAL ledger (`None` for centralized baselines), and
+/// the label the report prints.
+type Dispatched = (EdgeColoring, Option<NetworkStats>, String);
+
+/// Algorithms [`dispatch_mmap`] handles: the paper algorithms of
+/// [`dispatch_paper`]. The unsupported-algorithm error message is derived
+/// from this table, and `mmap_dispatch_matches_ram` pins that every
+/// listed name actually dispatches — so the list cannot drift from the
+/// match arms.
 const MMAP_SUPPORTED: &[&str] = &["star", "cd", "t52", "t53", "t54", "c55"];
 
 /// Runs the algorithm on the **out-of-core backend**: the graph is
@@ -121,10 +127,7 @@ const MMAP_SUPPORTED: &[&str] = &["star", "cd", "t52", "t53", "t54", "c55"];
 /// scratch root, so no in-RAM `Graph` is materialized on any path.
 /// Algorithms whose entry points are still `Graph`-bound report a clear
 /// error instead of silently falling back.
-fn dispatch_mmap(
-    algo: &str,
-    g: &Graph,
-) -> Result<(EdgeColoring, Option<NetworkStats>, String), String> {
+fn dispatch_mmap(algo: &str, g: &Graph) -> Result<Dispatched, String> {
     static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("decolor-cli-mmap-{}-{seq}", std::process::id()));
@@ -133,15 +136,9 @@ fn dispatch_mmap(
 
 /// [`dispatch_mmap`] with an explicit scratch root — split out so tests
 /// can pin that the root is gone after success *and* error exits.
-fn dispatch_mmap_in(
-    algo: &str,
-    g: &Graph,
-    dir: &std::path::Path,
-) -> Result<(EdgeColoring, Option<NetworkStats>, String), String> {
+fn dispatch_mmap_in(algo: &str, g: &Graph, dir: &Path) -> Result<Dispatched, String> {
     let (name, params) = algo.split_once(':').unwrap_or((algo, ""));
     let kv = parse_kv(params)?;
-    let cfg = SubroutineConfig::default();
-    let err = |e: decolor_core::AlgoError| e.to_string();
     if !MMAP_SUPPORTED.contains(&name) {
         return Err(match name {
             "baseline" | "misra" | "random" | "greedy" => format!(
@@ -151,7 +148,7 @@ fn dispatch_mmap_in(
             other => format!("unknown algorithm `{other}`"),
         });
     }
-    struct Cleanup(std::path::PathBuf);
+    struct Cleanup(PathBuf);
     impl Drop for Cleanup {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
@@ -160,150 +157,108 @@ fn dispatch_mmap_in(
     let _cleanup = Cleanup(dir.to_path_buf());
     let sc = decolor_graph::storage::ShardedCsr::from_graph(dir.join("input"), g)
         .map_err(|e| format!("cannot spill graph to mmap storage: {e}"))?;
-    match name {
-        "star" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let res = star_partition_edge_coloring_spilled(
-                &sc,
-                &StarPartitionParams::for_levels(&sc, x),
-                &dir.join("conn"),
-            )
-            .map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("star partition (x = {x}) [mmap backend]"),
-            ))
-        }
-        "cd" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let (c, s) = cd_edge_coloring_spilled(
-                &sc,
-                &CdParams::for_levels(sc.max_degree().max(2), x),
-                &dir.join("lg"),
-            )
-            .map_err(err)?;
-            Ok((
-                c,
-                Some(s),
-                format!("CD-Coloring of the line graph (x = {x}) [mmap backend]"),
-            ))
-        }
-        "t52" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem52(&sc, a, q, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.2 (a = {a}) [mmap backend]"),
-            ))
-        }
-        "t53" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem53(&sc, a, q, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.3 (a = {a}) [mmap backend]"),
-            ))
-        }
-        "t54" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let x = opt_usize(&kv, "x", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
-            let res = theorem54(&sc, a, q, x, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!("Theorem 5.4 (a = {a}, x = {x}) [mmap backend]"),
-            ))
-        }
-        "c55" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let (res, p) = corollary55(&sc, a, cfg).map_err(err)?;
-            Ok((
-                res.coloring,
-                Some(res.stats),
-                format!(
-                    "Corollary 5.5 (a = {a}; chose x = {}, q = {:.1}) [mmap backend]",
-                    p.x, p.q
-                ),
-            ))
-        }
-        other => Err(format!(
-            "algorithm `{other}` is listed as mmap-supported but has no dispatch arm"
+    match dispatch_paper(name, &kv, &sc, Some(dir))? {
+        Some((coloring, stats, label)) => Ok((coloring, stats, format!("{label} [mmap backend]"))),
+        None => Err(format!(
+            "algorithm `{name}` is listed as mmap-supported but has no dispatch arm"
         )),
     }
 }
 
-fn dispatch(algo: &str, g: &Graph) -> Result<(EdgeColoring, Option<NetworkStats>, String), String> {
-    let (name, params) = algo.split_once(':').unwrap_or((algo, ""));
-    let kv = parse_kv(params)?;
+/// The paper algorithms, written once for both backends; `Ok(None)` for
+/// any other name. With a `scratch` dir, star and cd spill their derived
+/// graphs (the top-level edge connector, the line graph) under it; the
+/// other four take no scratch.
+fn dispatch_paper<G: GraphView>(
+    name: &str,
+    kv: &[(String, String)],
+    g: &G,
+    scratch: Option<&Path>,
+) -> Result<Option<Dispatched>, String> {
     let cfg = SubroutineConfig::default();
     let err = |e: decolor_core::AlgoError| e.to_string();
-    match name {
+    let dispatched = match name {
         "star" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let res = star_partition_edge_coloring(g, &StarPartitionParams::for_levels(g, x))
-                .map_err(err)?;
-            Ok((
+            let x = opt_usize(kv, "x", 1)?;
+            let params = StarPartitionParams::for_levels(g, x);
+            let res = match scratch {
+                Some(dir) => star_partition_edge_coloring_spilled(g, &params, &dir.join("conn")),
+                None => star_partition_edge_coloring(g, &params),
+            }
+            .map_err(err)?;
+            (
                 res.coloring,
                 Some(res.stats),
                 format!("star partition (x = {x})"),
-            ))
+            )
         }
         "cd" => {
-            let x = opt_usize(&kv, "x", 1)?;
-            let (c, s) = cd_edge_coloring(g, &CdParams::for_levels(g.max_degree().max(2), x))
-                .map_err(err)?;
-            Ok((
+            let x = opt_usize(kv, "x", 1)?;
+            let params = CdParams::for_levels(g.max_degree().max(2), x);
+            let (c, s) = match scratch {
+                Some(dir) => cd_edge_coloring_spilled(g, &params, &dir.join("lg")),
+                None => cd_edge_coloring(g, &params),
+            }
+            .map_err(err)?;
+            (
                 c,
                 Some(s),
                 format!("CD-Coloring of the line graph (x = {x})"),
-            ))
+            )
         }
         "t52" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
+            let a = opt_usize(kv, "a", 2)?;
+            let q = opt_f64(kv, "q", 2.5)?;
             let res = theorem52(g, a, q, cfg).map_err(err)?;
-            Ok((
+            (
                 res.coloring,
                 Some(res.stats),
                 format!("Theorem 5.2 (a = {a})"),
-            ))
+            )
         }
         "t53" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
+            let a = opt_usize(kv, "a", 2)?;
+            let q = opt_f64(kv, "q", 2.5)?;
             let res = theorem53(g, a, q, cfg).map_err(err)?;
-            Ok((
+            (
                 res.coloring,
                 Some(res.stats),
                 format!("Theorem 5.3 (a = {a})"),
-            ))
+            )
         }
         "t54" => {
-            let a = opt_usize(&kv, "a", 2)?;
-            let x = opt_usize(&kv, "x", 2)?;
-            let q = opt_f64(&kv, "q", 2.5)?;
+            let a = opt_usize(kv, "a", 2)?;
+            let x = opt_usize(kv, "x", 2)?;
+            let q = opt_f64(kv, "q", 2.5)?;
             let res = theorem54(g, a, q, x, cfg).map_err(err)?;
-            Ok((
+            (
                 res.coloring,
                 Some(res.stats),
                 format!("Theorem 5.4 (a = {a}, x = {x})"),
-            ))
+            )
         }
         "c55" => {
-            let a = opt_usize(&kv, "a", 2)?;
+            let a = opt_usize(kv, "a", 2)?;
             let (res, p) = corollary55(g, a, cfg).map_err(err)?;
-            Ok((
+            (
                 res.coloring,
                 Some(res.stats),
                 format!("Corollary 5.5 (a = {a}; chose x = {}, q = {:.1})", p.x, p.q),
-            ))
+            )
         }
+        _ => return Ok(None),
+    };
+    Ok(Some(dispatched))
+}
+
+fn dispatch(algo: &str, g: &Graph) -> Result<Dispatched, String> {
+    let (name, params) = algo.split_once(':').unwrap_or((algo, ""));
+    let kv = parse_kv(params)?;
+    if let Some(paper) = dispatch_paper(name, &kv, g, None)? {
+        return Ok(paper);
+    }
+    let err = |e: decolor_core::AlgoError| e.to_string();
+    match name {
         "baseline" => {
             let (c, s) = two_delta_minus_one_edge_coloring(g).map_err(err)?;
             Ok((c, Some(s), "(2Δ−1) baseline".to_string()))

@@ -19,35 +19,25 @@
 //! CSR through the topology-generic LOCAL simulator — Theorem 5.2 itself
 //! is view-generic ([`h_partition`], the intra star partition, and the
 //! Lemma 5.1 merges all simulate rounds on the view), so no per-class
-//! spanning subgraph, port table, or network is materialized. The
-//! pre-view implementations are kept as [`theorem52_reference`],
-//! [`theorem53_reference`], and [`theorem54_reference`]; the equivalence
-//! tests pin colorings, palettes, and [`NetworkStats`] bit-identical
-//! between the paths.
+//! spanning subgraph, port table, or network is materialized. The golden
+//! fingerprints in `tests/crossing_merge_golden.rs` pin colorings,
+//! palettes, and [`NetworkStats`] of every theorem here.
 
 use decolor_graph::coloring::{Color, EdgeColoring};
 use decolor_graph::orientation::Orientation;
-use decolor_graph::subgraph::{EdgeSubgraphView, GraphView, SpanningEdgeSubgraph};
-use decolor_graph::{EdgeId, Graph, VertexId};
+use decolor_graph::subgraph::{EdgeSubgraphView, GraphView};
+use decolor_graph::{EdgeId, VertexId};
 use decolor_runtime::{Network, NetworkStats};
 use rayon::prelude::*;
 
-use crate::connectors::orientation::{
-    bipartite_orientation_connector_on, orientation_connector, VirtualKind,
-};
+use crate::connectors::orientation::{bipartite_orientation_connector_on, orientation_connector};
 use crate::crossing_merge::{color_crossing_edges, one_sided_edge_coloring};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::error::AlgoError;
 use crate::h_partition::h_partition;
-use crate::star_partition::{
-    star_partition_edge_coloring, star_partition_edge_coloring_on, StarPartitionParams,
-};
+use crate::star_partition::{star_partition_edge_coloring_on, StarPartitionParams};
 use crate::util::integer_root_ceil;
 use decolor_graph::num;
-
-/// Child outcome of a parallel class recursion in the materializing
-/// reference path (subgraph, colors, palette, stats).
-type ClassOutcome = (SpanningEdgeSubgraph, Vec<Color>, u64, NetworkStats);
 
 /// The paper's a-hat = ceil(q * a) degree bound for the H-partition, clamped to >= 1.
 fn qa_ceil(q: f64, a: usize) -> usize {
@@ -109,40 +99,26 @@ pub fn theorem52<G: GraphView>(
     q: f64,
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
-    theorem52_with_intra_levels(g, a, q, 1, cfg)
-}
-
-/// Theorem 5.2 with the proof's remark applied: "this step can be
-/// computed much faster in the expense of increasing the constant of the
-/// number of colors O(a). See Theorem 4.1." — the intra-H-set edges are
-/// colored with an `intra_levels`-deep star partition (2^{x+1}d instead
-/// of 4d colors, fewer rounds).
-///
-/// # Errors
-///
-/// Same as [`theorem52`], plus `intra_levels == 0`.
-pub fn theorem52_with_intra_levels<G: GraphView>(
-    g: &G,
-    a: usize,
-    q: f64,
-    intra_levels: usize,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    theorem52_on(g, g, a, q, intra_levels, cfg)
+    theorem52_on(g, g, a, q, 1, cfg)
 }
 
 /// The view-generic realization of Theorem 5.2: runs on any
-/// [`GraphView`] of `root` (the whole graph at the entry points, a
+/// [`GraphView`] of `root` (`theorem52_on(g, g, …)` for a whole graph, a
 /// borrowed color-class [`EdgeSubgraphView`] inside the Theorem 5.3/5.4
 /// recursions). Colors are in the view's local edge ids. Every round —
 /// the H-partition peeling, the intra star partition, the Lemma 5.1
 /// merges — is simulated on the view itself through the topology-generic
-/// [`Network`], so decisions **and** [`NetworkStats`] are bit-identical
-/// to the materializing path.
+/// [`Network`], so nothing is materialized per class.
+///
+/// `intra_levels` applies the proof's remark: "this step can be computed
+/// much faster in the expense of increasing the constant of the number of
+/// colors O(a). See Theorem 4.1." — the intra-H-set edges are colored
+/// with an `intra_levels`-deep star partition (2^{x+1}d instead of 4d
+/// colors, fewer rounds); [`theorem52`] uses 1.
 ///
 /// # Errors
 ///
-/// As [`theorem52_with_intra_levels`].
+/// As [`theorem52`], plus `intra_levels == 0`.
 pub fn theorem52_on<R: GraphView, V: GraphView>(
     root: &R,
     view: &V,
@@ -244,98 +220,6 @@ pub fn theorem52_on<R: GraphView, V: GraphView>(
     Ok(ArboricityColoring { coloring, stats })
 }
 
-/// The **materializing reference path** of [`theorem52`]: the intra-H-set
-/// edges are copied into a [`SpanningEdgeSubgraph`] before the star
-/// partition (the pre-view implementation). Kept for the equivalence
-/// tests.
-///
-/// # Errors
-///
-/// As [`theorem52`].
-pub fn theorem52_reference(
-    g: &Graph,
-    a: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    if g.num_edges() == 0 {
-        return empty_coloring();
-    }
-    if q < 2.0 {
-        return Err(AlgoError::InvalidParameters {
-            reason: format!("q = {q} must be ≥ 2 (+ε)"),
-        });
-    }
-    let d = qa_ceil(q, a);
-    let delta = num::to_u64(g.max_degree());
-    let hp = h_partition(g, d)?;
-    let mut stats = hp.stats;
-
-    let same: Vec<EdgeId> = g
-        .edge_list()
-        .filter(|&(_, [u, v])| hp.index[u.index()] == hp.index[v.index()])
-        .map(|(e, _)| e)
-        .collect();
-    let mut edge_colors: Vec<Option<Color>> = vec![None; g.num_edges()];
-    let mut intra_palette = 1u64;
-    if !same.is_empty() {
-        let sub = SpanningEdgeSubgraph::new(g, &same);
-        debug_assert!(sub.graph().max_degree() <= d);
-        let star = star_partition_edge_coloring(
-            sub.graph(),
-            &StarPartitionParams {
-                subroutine: cfg,
-                ..StarPartitionParams::for_levels(sub.graph(), 1)
-            },
-        )?;
-        intra_palette = star.coloring.palette();
-        for (local, &e) in same.iter().enumerate() {
-            edge_colors[e.index()] = Some(star.coloring.color(EdgeId::new(local)));
-        }
-        stats = stats.then(star.stats);
-    }
-
-    let palette = intra_palette.max(delta + num::to_u64(d));
-    let mut net = Network::new(g);
-    if hp.num_sets >= 2 {
-        for i in (0..hp.num_sets - 1).rev() {
-            let in_a: Vec<bool> = hp.index.iter().map(|&h| h == i).collect();
-            let crossing: Vec<EdgeId> = g
-                .edge_list()
-                .filter(|&(_, [u, v])| {
-                    let (hu, hv) = (hp.index[u.index()], hp.index[v.index()]);
-                    hu.min(hv) == i && hu != hv
-                })
-                .map(|(e, _)| e)
-                .collect();
-            if crossing.is_empty() {
-                continue;
-            }
-            color_crossing_edges(&mut net, &in_a, &mut edge_colors, &crossing, palette)?;
-        }
-    }
-    stats = stats.then(net.stats());
-
-    let colors: Vec<Color> = edge_colors
-        .into_iter()
-        .map(|c| {
-            c.ok_or_else(|| AlgoError::InvariantViolated {
-                reason: "edge left uncolored".into(),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let coloring =
-        EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring { coloring, stats })
-}
-
 /// **Theorem 5.3**: for `a = o(Δ)`, a (Δ + O(√(Δa)) + O(a))-edge-coloring
 /// — i.e. Δ + o(Δ) — in O(√a log n)-shape rounds, via the shared
 /// orientation connector with √-sized groups. Color classes recurse on
@@ -350,44 +234,8 @@ pub fn theorem53<G: GraphView>(
     q: f64,
     cfg: SubroutineConfig,
 ) -> Result<ArboricityColoring, AlgoError> {
-    let Some((orient, phi, stats)) = theorem53_head(g, a, q, cfg)? else {
-        return empty_coloring();
-    };
-    combine_classes_on(g, &orient, &phi.coloring, q, cfg, stats)
-}
-
-/// The **materializing reference path** of [`theorem53`]: every color
-/// class is copied into a [`SpanningEdgeSubgraph`] (plus a restricted
-/// [`Orientation`]) before the per-class Theorem 5.2. Kept for the
-/// equivalence tests.
-///
-/// # Errors
-///
-/// As [`theorem53`].
-pub fn theorem53_reference(
-    g: &Graph,
-    a: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    let Some((orient, phi, stats)) = theorem53_head(g, a, q, cfg)? else {
-        return empty_coloring();
-    };
-    combine_classes_reference(g, &orient, &phi.coloring, q, cfg, stats)
-}
-
-/// Shared head of both Theorem 5.3 paths: H-partition, shared orientation
-/// connector, Theorem 5.2 on the connector. Returns `None` for edgeless
-/// inputs.
-type Theorem53Head = Option<(Orientation, ArboricityColoring, NetworkStats)>;
-fn theorem53_head<G: GraphView>(
-    g: &G,
-    a: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<Theorem53Head, AlgoError> {
     if g.num_edges() == 0 {
-        return Ok(None);
+        return empty_coloring();
     }
     let d = qa_ceil(q, a);
     let delta = num::to_u64(g.max_degree());
@@ -401,13 +249,12 @@ fn theorem53_head<G: GraphView>(
     stats.rounds += 1; // local construction
     let a_conn = conn.orientation.max_out_degree(&conn.graph).max(1);
     let phi = theorem52(&conn.graph, a_conn, q, cfg)?;
-    let phi_stats = phi.stats;
-    Ok(Some((orient, phi, stats.then(phi_stats))))
+    combine_classes_on(g, &orient, &phi.coloring, q, cfg, stats.then(phi.stats))
 }
 
-/// Maximum out-degree over the class under `orient` — what the reference
-/// path reads off `Orientation::max_out_degree` of the restricted
-/// orientation, computed here without materializing either.
+/// Maximum out-degree over the class under `orient`: the class's
+/// arboricity bound, computed without materializing the class or its
+/// restricted orientation.
 fn class_max_out_degree<G: GraphView>(g: &G, orient: &Orientation, class: &[EdgeId]) -> usize {
     let mut out_deg = vec![0u32; g.num_vertices()];
     for &e in class {
@@ -473,75 +320,6 @@ fn combine_classes_on<G: GraphView>(
     }
     stats = stats.then(NetworkStats::in_parallel(
         results.iter().flatten().map(|(_, _, s)| *s),
-    ));
-    let coloring = EdgeColoring::new(out, phi.palette() * inner).map_err(|e| {
-        AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        }
-    })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring { coloring, stats })
-}
-
-/// The materializing counterpart of [`combine_classes_on`], kept for the
-/// reference paths.
-fn combine_classes_reference(
-    g: &Graph,
-    orient: &Orientation,
-    phi: &EdgeColoring,
-    q: f64,
-    cfg: SubroutineConfig,
-    mut stats: NetworkStats,
-) -> Result<ArboricityColoring, AlgoError> {
-    let classes = phi.classes();
-    let outcomes: Vec<Result<Option<(SpanningEdgeSubgraph, ArboricityColoring)>, AlgoError>> =
-        classes
-            .par_iter()
-            .map(|class| {
-                if class.is_empty() {
-                    return Ok(None);
-                }
-                let sub = SpanningEdgeSubgraph::new(g, class);
-                let heads: Vec<VertexId> = class.iter().map(|&e| orient.head(e)).collect();
-                let sub_orient = Orientation::new(sub.graph(), heads).map_err(|e| {
-                    AlgoError::InvariantViolated {
-                        reason: e.to_string(),
-                    }
-                })?;
-                let a_sub = sub_orient.max_out_degree(sub.graph()).max(1);
-                let psi = theorem52_reference(sub.graph(), a_sub, q, cfg)?;
-                Ok(Some((sub, psi)))
-            })
-            .collect();
-    let mut children = Vec::new();
-    for o in outcomes {
-        if let Some(c) = o? {
-            children.push(c);
-        }
-    }
-    let inner = children
-        .iter()
-        .map(|(_, c)| c.coloring.palette())
-        .max()
-        .unwrap_or(1);
-    let mut out = vec![0 as Color; g.num_edges()];
-    for (sub, psi) in &children {
-        for local in 0..sub.graph().num_edges() {
-            let parent = sub.to_parent_edge(EdgeId::new(local));
-            let combined = u64::from(phi.color(parent)) * inner
-                + u64::from(psi.coloring.color(EdgeId::new(local)));
-            out[parent.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        children.iter().map(|(_, c)| c.stats),
     ));
     let coloring = EdgeColoring::new(out, phi.palette() * inner).map_err(|e| {
         AlgoError::InvariantViolated {
@@ -624,59 +402,6 @@ pub fn theorem54<G: GraphView>(
     })
 }
 
-/// The **materializing reference path** of [`theorem54`]: every connector
-/// level copies each color class into a [`SpanningEdgeSubgraph`] with a
-/// restricted [`Orientation`]. Kept for the equivalence tests.
-///
-/// # Errors
-///
-/// As [`theorem54`].
-pub fn theorem54_reference(
-    g: &Graph,
-    a: usize,
-    q: f64,
-    x: usize,
-    cfg: SubroutineConfig,
-) -> Result<ArboricityColoring, AlgoError> {
-    if x == 0 {
-        return Err(AlgoError::InvalidParameters {
-            reason: "x must be ≥ 1".into(),
-        });
-    }
-    if g.num_edges() == 0 {
-        return empty_coloring();
-    }
-    let d = qa_ceil(q, a);
-    let delta = num::to_u64(g.max_degree());
-    let hp = h_partition(g, d)?;
-    let orient = hp.orientation(g);
-    let stats = hp.stats;
-    if x == 1 {
-        let t52 = theorem52_reference(g, a, q, cfg)?;
-        return Ok(ArboricityColoring {
-            coloring: t52.coloring,
-            stats: stats.then(t52.stats),
-        });
-    }
-    let x32 = num::to_u32(x)?;
-    let s_in = (num::to_usize(integer_root_ceil(delta, x32))? + 1).max(2);
-    let s_out = (num::to_usize(integer_root_ceil(num::to_u64(d), x32))? + 1).max(2);
-    let (colors, palette, level_stats) = t54_level(g, &orient, s_in, s_out, x, q, cfg)?;
-    let coloring =
-        EdgeColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    coloring
-        .validate(g)
-        .map_err(|e| AlgoError::InvariantViolated {
-            reason: e.to_string(),
-        })?;
-    Ok(ArboricityColoring {
-        coloring,
-        stats: stats.then(level_stats),
-    })
-}
-
 /// Level-invariant parameters of the Theorem 5.4 recursion.
 #[derive(Clone, Copy)]
 struct T54Ctx {
@@ -700,8 +425,8 @@ fn t54_level_on<R: GraphView, V: GraphView>(
         return Ok((vec![], 1, NetworkStats::default()));
     }
     if levels == 1 {
-        // The reference reads this off the restricted orientation; here
-        // it is the max per-tail count of the view's own head slice.
+        // The class's arboricity bound: the max per-tail count of the
+        // view's own head slice.
         let mut out_deg = vec![0u32; view.num_vertices()];
         for e in (0..view.num_edges()).map(EdgeId::new) {
             let head = heads[e.index()];
@@ -774,83 +499,6 @@ fn t54_level_on<R: GraphView, V: GraphView>(
     Ok((out, palette_conn * inner, stats))
 }
 
-/// One Theorem 5.4 level of the **materializing reference path**.
-fn t54_level(
-    g: &Graph,
-    orient: &Orientation,
-    s_in: usize,
-    s_out: usize,
-    levels: usize,
-    q: f64,
-    cfg: SubroutineConfig,
-) -> Result<(Vec<Color>, u64, NetworkStats), AlgoError> {
-    if g.num_edges() == 0 {
-        return Ok((vec![], 1, NetworkStats::default()));
-    }
-    if levels == 1 {
-        let a_cur = orient.max_out_degree(g).max(1);
-        let t52 = theorem52_reference(g, a_cur, q, cfg)?;
-        return Ok((
-            t52.coloring.as_slice().to_vec(),
-            t52.coloring.palette(),
-            t52.stats,
-        ));
-    }
-    let conn = orientation_connector(g, orient, s_in, s_out, true)?;
-    let in_a: Vec<bool> = conn
-        .kind
-        .iter()
-        .map(|k| matches!(k, VirtualKind::Out(_)))
-        .collect();
-    let palette_conn = num::to_u64(s_in + s_out - 1);
-    let (phi, phi_stats) = one_sided_edge_coloring(&conn.graph, &in_a, palette_conn)?;
-    let mut stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-
-    let classes = phi.classes();
-    let outcomes: Vec<Result<Option<ClassOutcome>, AlgoError>> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let sub = SpanningEdgeSubgraph::new(g, class);
-            let heads: Vec<VertexId> = class.iter().map(|&e| orient.head(e)).collect();
-            let sub_orient =
-                Orientation::new(sub.graph(), heads).map_err(|e| AlgoError::InvariantViolated {
-                    reason: e.to_string(),
-                })?;
-            let (c, p, s) = t54_level(sub.graph(), &sub_orient, s_in, s_out, levels - 1, q, cfg)?;
-            Ok(Some((sub, c, p, s)))
-        })
-        .collect();
-    let mut children = Vec::new();
-    for o in outcomes {
-        if let Some(c) = o? {
-            children.push(c);
-        }
-    }
-    let inner = children.iter().map(|&(_, _, p, _)| p).max().unwrap_or(1);
-    let mut out = vec![0 as Color; g.num_edges()];
-    for (sub, colors, _, _) in &children {
-        for (local, &c) in colors.iter().enumerate() {
-            let parent = sub.to_parent_edge(EdgeId::new(local));
-            let combined = u64::from(phi.color(parent)) * inner + u64::from(c);
-            out[parent.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        children.iter().map(|&(_, _, _, s)| s),
-    ));
-    Ok((out, palette_conn * inner, stats))
-}
-
 /// Parameters chosen by [`corollary55`], reported for the bench harness.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Corollary55Params {
@@ -904,7 +552,7 @@ pub fn corollary55<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decolor_graph::generators;
+    use decolor_graph::{generators, Graph};
 
     fn workload(n: usize, a: usize, cap: usize, seed: u64) -> Graph {
         generators::forest_union(n, a, cap, seed).unwrap()
@@ -989,6 +637,13 @@ mod tests {
             "palette {} vs Δ {delta}",
             res.coloring.palette()
         );
+        // And Theorem 5.4's bound at the chosen (x, q).
+        let bound = crate::analysis::theorem54_palette(delta, 2, params.q, params.x as u32);
+        assert!(
+            res.coloring.palette() <= bound,
+            "palette {} vs Theorem 5.4 bound {bound}",
+            res.coloring.palette()
+        );
     }
 
     #[test]
@@ -1018,8 +673,6 @@ mod tests {
         let g = workload(50, 2, 4, 8);
         assert!(theorem52(&g, 2, 1.0, SubroutineConfig::default()).is_err());
         assert!(theorem54(&g, 2, 2.5, 0, SubroutineConfig::default()).is_err());
-        assert!(theorem52_reference(&g, 2, 1.0, SubroutineConfig::default()).is_err());
-        assert!(theorem54_reference(&g, 2, 2.5, 0, SubroutineConfig::default()).is_err());
     }
 
     #[test]
@@ -1033,17 +686,13 @@ mod tests {
             .unwrap()
             .coloring
             .is_empty());
-        assert!(theorem53_reference(&g, 1, 2.5, SubroutineConfig::default())
-            .unwrap()
-            .coloring
-            .is_empty());
     }
 
     #[test]
     fn theorem52_intra_levels_tradeoff() {
         let g = workload(500, 3, 12, 10);
-        let slow = theorem52_with_intra_levels(&g, 3, 2.5, 1, SubroutineConfig::default()).unwrap();
-        let fast = theorem52_with_intra_levels(&g, 3, 2.5, 2, SubroutineConfig::default()).unwrap();
+        let slow = theorem52_on(&g, &g, 3, 2.5, 1, SubroutineConfig::default()).unwrap();
+        let fast = theorem52_on(&g, &g, 3, 2.5, 2, SubroutineConfig::default()).unwrap();
         assert!(slow.coloring.is_proper(&g));
         assert!(fast.coloring.is_proper(&g));
         // Deeper intra recursion may cost more colors but never breaks
@@ -1051,6 +700,6 @@ mod tests {
         let delta = g.max_degree() as u64;
         let d = (2.5f64 * 3.0).ceil() as u64;
         assert!(fast.coloring.palette() <= (8 * d + 1).max(delta + d));
-        assert!(theorem52_with_intra_levels(&g, 3, 2.5, 0, SubroutineConfig::default()).is_err());
+        assert!(theorem52_on(&g, &g, 3, 2.5, 0, SubroutineConfig::default()).is_err());
     }
 }

@@ -20,12 +20,12 @@ use decolor_graph::cliques::CliqueCover;
 use decolor_graph::coloring::{Color, VertexColoring};
 use decolor_graph::line_graph::{line_graph_cover, line_graph_stream, LineGraph};
 use decolor_graph::storage::ShardedCsrBuilder;
-use decolor_graph::subgraph::{GraphView, InducedSubgraph, InducedSubgraphView, VertexSubsetView};
+use decolor_graph::subgraph::{GraphView, InducedSubgraphView, VertexSubsetView};
 use decolor_graph::{Graph, VertexId};
 use decolor_runtime::{IdAssignment, Network, NetworkStats};
 use rayon::prelude::*;
 
-use crate::connectors::clique::{clique_connector, clique_connector_on};
+use crate::connectors::clique::clique_connector_on;
 use crate::delta_plus_one::{vertex_coloring_with_target, Seed, SubroutineConfig};
 use crate::error::AlgoError;
 use crate::linial;
@@ -139,52 +139,6 @@ pub fn cd_coloring<G: GraphView>(
     params: &CdParams,
     ids: &IdAssignment,
 ) -> Result<CdColoring, AlgoError> {
-    check_cd_params(g, params, ids)?;
-    let diversity = cover.diversity().max(1);
-
-    // §3: one Linial pass on the input graph; recursion inherits colors.
-    let mut net = Network::new(g);
-    let base = linial::linial_coloring(&mut net, ids)?.coloring;
-    let base_stats = net.stats();
-
-    let all: Vec<VertexId> = (0..g.num_vertices()).map(VertexId::new).collect();
-    let full = VertexSubsetView::new(g, all).map_err(AlgoError::bad_view)?;
-    let (colors, palette, stats) = level_on(g, cover, &base, &full, diversity, params, params.x)?;
-    finish_cd(g, params, colors, palette, base_stats.then(stats))
-}
-
-/// The **materializing reference path**: identical decisions to
-/// [`cd_coloring`], but every recursion level copies each color class
-/// into a fresh [`InducedSubgraph`] plus a [`Network`] over it (the
-/// pre-view implementation). Kept so the equivalence tests can pin the
-/// borrowed-view pipeline bit-for-bit — colorings, palette bounds, and
-/// [`NetworkStats`] must match exactly.
-///
-/// # Errors
-///
-/// As [`cd_coloring`].
-pub fn cd_coloring_reference(
-    g: &Graph,
-    cover: &CliqueCover,
-    params: &CdParams,
-    ids: &IdAssignment,
-) -> Result<CdColoring, AlgoError> {
-    check_cd_params(g, params, ids)?;
-    let diversity = cover.diversity().max(1);
-
-    let mut net = Network::new(g);
-    let base = linial::linial_coloring(&mut net, ids)?.coloring;
-    let base_stats = net.stats();
-
-    let (colors, palette, stats) = level(g, cover, &base, diversity, params, params.x)?;
-    finish_cd(g, params, colors, palette, base_stats.then(stats))
-}
-
-fn check_cd_params<G: GraphView>(
-    g: &G,
-    params: &CdParams,
-    ids: &IdAssignment,
-) -> Result<(), AlgoError> {
     if params.t < 2 {
         return Err(AlgoError::InvalidParameters {
             reason: "t must be ≥ 2".into(),
@@ -200,17 +154,17 @@ fn check_cd_params<G: GraphView>(
             reason: format!("{} ids for {} vertices", ids.len(), g.num_vertices()),
         });
     }
-    Ok(())
-}
+    let diversity = cover.diversity().max(1);
 
-/// Shared tail of both paths: the §3 / Appendix B trim and validation.
-fn finish_cd<G: GraphView>(
-    g: &G,
-    params: &CdParams,
-    colors: Vec<Color>,
-    palette: u64,
-    mut stats: NetworkStats,
-) -> Result<CdColoring, AlgoError> {
+    // §3: one Linial pass on the input graph; recursion inherits colors.
+    let mut net = Network::new(g);
+    let base = linial::linial_coloring(&mut net, ids)?.coloring;
+    let base_stats = net.stats();
+
+    let all: Vec<VertexId> = (0..g.num_vertices()).map(VertexId::new).collect();
+    let full = VertexSubsetView::new(g, all).map_err(AlgoError::bad_view)?;
+    let (colors, palette, stats) = level_on(g, cover, &base, &full, diversity, params, params.x)?;
+    let mut stats = base_stats.then(stats);
     let mut coloring =
         VertexColoring::new(colors, palette).map_err(|e| AlgoError::InvariantViolated {
             reason: e.to_string(),
@@ -256,7 +210,6 @@ fn finish_cd<G: GraphView>(
 /// and the **leaves run the vertex pipeline directly on an
 /// [`InducedSubgraphView`]** through the topology-generic [`Network`]:
 /// no per-class graph, port table, or network is ever materialized.
-/// Decisions and [`NetworkStats`] are bit-identical to [`level`].
 #[allow(clippy::too_many_arguments)]
 fn level_on<G: GraphView>(
     root: &G,
@@ -273,7 +226,7 @@ fn level_on<G: GraphView>(
         return Ok((vec![0; k], 1, NetworkStats::default()));
     }
     // Restriction composes, so filtering the root cover by the current
-    // subset equals the reference path's level-by-level restriction.
+    // subset equals restricting it level by level.
     let local_cover = cover.restrict_to_subset(view);
     // Appendix B's A_{i+1}: re-optimize t from the current clique size.
     let t = if params.per_level_t {
@@ -403,132 +356,6 @@ fn level_on<G: GraphView>(
 
 /// Child outcome of a view-based class recursion (colors, palette, stats).
 type ViewOutcome = Result<Option<(Vec<Color>, u64, NetworkStats)>, AlgoError>;
-
-/// One recursion level of Algorithm 1 — the **materializing reference
-/// path** (each class copied into a fresh [`InducedSubgraph`]).
-fn level(
-    g: &Graph,
-    cover: &CliqueCover,
-    base: &VertexColoring,
-    diversity: usize,
-    params: &CdParams,
-    x: usize,
-) -> Result<(Vec<Color>, u64, NetworkStats), AlgoError> {
-    let cfg = params.subroutine;
-    let n = g.num_vertices();
-    if g.num_edges() == 0 {
-        return Ok((vec![0; n], 1, NetworkStats::default()));
-    }
-    // Appendix B's A_{i+1}: re-optimize t from the current clique size.
-    let t = if params.per_level_t {
-        optimal_t_for(cover.max_clique_size(), x)
-    } else {
-        params.t
-    };
-
-    // Line 1: the connector (O(1) rounds, charged below).
-    let conn = clique_connector(g, cover, t)?;
-    let gamma = num::to_u64(diversity) * (num::to_u64(t) - 1) + 1;
-    if num::to_u64(conn.graph.max_degree()) >= gamma {
-        return Err(AlgoError::InvariantViolated {
-            reason: format!(
-                "Lemma 2.1 violated: connector degree {} ≥ γ = {gamma} (cover inconsistent?)",
-                conn.graph.max_degree()
-            ),
-        });
-    }
-
-    // Line 3: ϕ := color G′ with γ colors, seeded by the inherited coloring.
-    let (phi, phi_stats) =
-        vertex_coloring_with_target(&conn.graph, Seed::Coloring(base), gamma, cfg)?;
-    let mut stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-
-    // Lines 4–13: recurse (or finish) on the color classes in parallel.
-    let s_cur = cover.max_clique_size();
-    let k = s_cur.div_ceil(t);
-    let classes = phi.classes();
-    let child_results: Vec<Result<Option<ChildOutcome>, AlgoError>> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let sub = InducedSubgraph::new(g, class);
-            let sub_cover = cover.restrict(&sub);
-            let sub_base_colors: Vec<Color> = sub
-                .parent_vertices()
-                .iter()
-                .map(|&v| base.color(v))
-                .collect();
-            let sub_base = VertexColoring::new(sub_base_colors, base.palette()).map_err(|e| {
-                AlgoError::InvariantViolated {
-                    reason: e.to_string(),
-                }
-            })?;
-            let (colors, palette, child_stats) = if x > 1 {
-                level(sub.graph(), &sub_cover, &sub_base, diversity, params, x - 1)?
-            } else {
-                // Line 12: direct coloring with D(⌈S/t⌉ − 1) + 1 colors.
-                let target = num::to_u64(diversity) * (num::to_u64(k) - 1) + 1;
-                if num::to_u64(sub.graph().max_degree()) >= target.max(1) {
-                    return Err(AlgoError::InvariantViolated {
-                        reason: format!(
-                            "Lemma 2.2 violated: class degree {} ≥ D(k−1)+1 = {target}",
-                            sub.graph().max_degree()
-                        ),
-                    });
-                }
-                let (c, s) = vertex_coloring_with_target(
-                    sub.graph(),
-                    Seed::Coloring(&sub_base),
-                    target,
-                    cfg,
-                )?;
-                (c.as_slice().to_vec(), c.palette(), s)
-            };
-            Ok(Some(ChildOutcome {
-                sub,
-                colors,
-                palette,
-                stats: child_stats,
-            }))
-        })
-        .collect();
-
-    let mut children = Vec::new();
-    for r in child_results {
-        if let Some(c) = r? {
-            children.push(c);
-        }
-    }
-
-    // Line 15: combine ⟨ϕ, ψ⟩ canonically.
-    let inner_palette = children.iter().map(|c| c.palette).max().unwrap_or(1);
-    let mut out = vec![0 as Color; n];
-    for child in &children {
-        for (local, &parent) in child.sub.parent_vertices().iter().enumerate() {
-            let combined =
-                u64::from(phi.color(parent)) * inner_palette + u64::from(child.colors[local]);
-            out[parent.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(children.iter().map(|c| c.stats)));
-    Ok((out, gamma * inner_palette, stats))
-}
-
-struct ChildOutcome {
-    sub: InducedSubgraph,
-    colors: Vec<Color>,
-    palette: u64,
-    stats: NetworkStats,
-}
 
 /// Theorem 3.3 (ii): edge coloring of `g` as CD-Coloring of its line graph
 /// (diversity 2, maximal clique size Δ). Charges one round for the

@@ -145,8 +145,8 @@ pub fn clique_connector_for(
 /// materializing the induced subgraph. `local_cover` must be the root
 /// cover restricted to the view
 /// ([`CliqueCover::restrict_to_subset`]); restriction composes, so the
-/// result is identical to the materializing path's
-/// `cover.restrict(&sub)` + [`clique_connector`].
+/// result is identical to materializing the class as `sub` and calling
+/// [`clique_connector`] with `cover.restrict(&sub)`.
 ///
 /// # Errors
 ///

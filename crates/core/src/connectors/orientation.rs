@@ -174,10 +174,11 @@ pub fn orientation_connector<V: GraphView>(
 ///
 /// Returns the connector graph plus the `A`-side indicator consumed by
 /// [`one_sided_edge_coloring`](crate::crossing_merge::one_sided_edge_coloring)
-/// (`true` = out-virtual, matching the reference path's
-/// `VirtualKind::Out`). Dropping the reference path's isolated virtual
-/// vertices changes no coloring decision and no ledger entry (they have
-/// degree 0), which the equivalence tests pin.
+/// (`true` = out-virtual, matching [`VirtualKind::Out`] of the bipartite
+/// [`orientation_connector`]). Dropping that construction's isolated
+/// virtual vertices changes no coloring decision and no ledger entry
+/// (they have degree 0); the Theorem 5.4 golden fingerprints were taken
+/// while the two were pinned equal.
 ///
 /// # Errors
 ///

@@ -11,14 +11,14 @@
 //! final one-class-per-round trim (§4's "within an additional round").
 
 use decolor_graph::coloring::{Color, EdgeColoring};
-use decolor_graph::subgraph::{EdgeSubgraphView, GraphView, SpanningEdgeSubgraph};
-use decolor_graph::{EdgeId, Graph};
+use decolor_graph::subgraph::{EdgeSubgraphView, GraphView};
+use decolor_graph::EdgeId;
 use decolor_runtime::{Network, NetworkStats};
 use rayon::prelude::*;
 
 use std::path::Path;
 
-use crate::connectors::edge::{edge_connector, edge_connector_graph_on, edge_connector_sharded_on};
+use crate::connectors::edge::{edge_connector_graph_on, edge_connector_sharded_on};
 use crate::delta_plus_one::SubroutineConfig;
 use crate::edge_space::{edge_coloring_direct, edge_coloring_direct_on};
 use crate::error::AlgoError;
@@ -26,9 +26,6 @@ use crate::reduction::edge_palette_trim;
 use crate::util::integer_root;
 use decolor_graph::num;
 
-/// Child outcome of a parallel class recursion in the materializing
-/// reference path (subgraph, colors, palette, stats).
-type ClassOutcome = (SpanningEdgeSubgraph, Vec<Color>, u64, NetworkStats);
 /// Child outcome of a view-based class recursion (colors, palette, stats).
 type ViewOutcome = Result<Option<(Vec<Color>, u64, NetworkStats)>, AlgoError>;
 
@@ -139,7 +136,8 @@ pub fn star_partition_edge_coloring<G: GraphView>(
 /// [`star_partition_edge_coloring`] with the **top-level connector spilled
 /// to disk**: the one construction of the star pipeline that is
 /// proportional to the input (the stage-one connector has exactly `m`
-/// edges) is streamed through [`ShardedCsrBuilder`] into `scratch_dir`
+/// edges) is streamed through
+/// [`ShardedCsrBuilder`](decolor_graph::storage::ShardedCsrBuilder) into `scratch_dir`
 /// and colored off the mmap CSR, so no in-RAM graph proportional to the
 /// input is ever materialized — the entry point the mmap backend uses.
 /// Recursion-level connectors are geometrically smaller (≤ m/(2t−1) edges
@@ -170,32 +168,6 @@ pub fn star_partition_edge_coloring_spilled<G: GraphView>(
         params.adaptive_t,
         Some(scratch_dir),
     )?;
-    finish(g, params, staged)
-}
-
-/// The **materializing reference path**: identical decisions to
-/// [`star_partition_edge_coloring`], but every recursion level copies each
-/// color class into a fresh [`SpanningEdgeSubgraph`] (the pre-view
-/// implementation). Kept so the equivalence tests can pin the borrowed
-/// [`EdgeSubgraphView`] pipeline bit-for-bit — colorings, palettes, and
-/// [`NetworkStats`] must match exactly.
-///
-/// Note on the ledger: both paths color classes with the edge-space
-/// realization ([`edge_coloring_direct`]), whose colorings **and round
-/// counts** are pinned bit-identical to the line-graph pipeline by the
-/// `edge_space` and `decolor-baselines` equivalence tests, but whose
-/// `messages`/`payload_bytes` reflect the on-`G` realization — so those
-/// two columns are not comparable with pre-PR-3 recorded runs.
-///
-/// # Errors
-///
-/// As [`star_partition_edge_coloring`].
-pub fn star_partition_edge_coloring_reference(
-    g: &Graph,
-    params: &StarPartitionParams,
-) -> Result<StarPartitionResult, AlgoError> {
-    check_params(g, params)?;
-    let staged = stage(g, params.t, params.x, params.subroutine, params.adaptive_t)?;
     finish(g, params, staged)
 }
 
@@ -255,9 +227,9 @@ pub fn star_partition_edge_coloring_on<R: GraphView>(
     finish(view, params, staged)
 }
 
-/// Shared tail of both paths: the §4 palette trim and validation. Generic
-/// over the topology, so the view pipeline trims through a [`Network`]
-/// over the borrowed view.
+/// Shared tail of every entry point: the §4 palette trim and validation.
+/// Generic over the topology, so a view trims through a [`Network`] over
+/// the borrowed view.
 fn finish<V: GraphView>(
     g: &V,
     params: &StarPartitionParams,
@@ -298,7 +270,7 @@ fn finish<V: GraphView>(
 /// [`EdgeSubgraphView`]s of the *root* graph — activation bitsets over the
 /// root CSR — so no per-class graph, port table, or line graph is ever
 /// materialized; the only allocations are O(m/64 + n) words of view
-/// index per class. Decisions are bit-identical to [`stage`].
+/// index per class.
 ///
 /// `spill`: scratch directory for the stage's connector. `Some` only at
 /// the top level of the spilled entry point — the stage-one connector is
@@ -413,92 +385,6 @@ fn stage_on<R: GraphView, V: GraphView>(
     }
     stats = stats.then(NetworkStats::in_parallel(
         results.iter().flatten().map(|&(_, _, s)| s),
-    ));
-    Ok((out, target_conn * inner_palette, stats))
-}
-
-/// One connector stage of the **materializing reference path** (or the
-/// direct base case for `x == 0`).
-fn stage(
-    g: &Graph,
-    t: usize,
-    x: usize,
-    cfg: SubroutineConfig,
-    adaptive_t: bool,
-) -> Result<(Vec<Color>, u64, NetworkStats), AlgoError> {
-    if g.num_edges() == 0 {
-        return Ok((vec![], 1, NetworkStats::default()));
-    }
-    let delta = num::to_u64(g.max_degree());
-    let t = if adaptive_t {
-        optimal_t_for(delta, x)
-    } else {
-        t
-    };
-    if x == 0 || delta <= num::to_u64(t) {
-        // Base: color directly with 2Δ − 1 colors in edge space.
-        let target = (2 * delta - 1).max(1);
-        let (c, s) = edge_coloring_direct(g, target, cfg)?;
-        return Ok((c.as_slice().to_vec(), c.palette(), s));
-    }
-
-    // Build the connector (O(1) local rounds) and edge-color it with
-    // 2t − 1 colors; its maximum degree is ≤ t by construction.
-    let conn = edge_connector(g, t)?;
-    conn.verify_degree_bound()?;
-    let target_conn = (2 * num::to_u64(t) - 1).max(1);
-    let (phi, phi_stats) = edge_coloring_direct(&conn.graph, target_conn, cfg)?;
-    let mut stats = NetworkStats {
-        rounds: 1,
-        ..Default::default()
-    }
-    .then(phi_stats);
-
-    // Group original edges by connector color (edge ids align).
-    let classes = phi.classes();
-    let star_bound = num::to_u64(conn.star_bound(g));
-    let outcomes: Vec<Result<Option<ClassOutcome>, AlgoError>> = classes
-        .par_iter()
-        .map(|class| {
-            if class.is_empty() {
-                return Ok(None);
-            }
-            let edge_ids: Vec<EdgeId> = class.iter().map(|&v| EdgeId::new(v.index())).collect();
-            let sub = SpanningEdgeSubgraph::new(g, &edge_ids);
-            if num::to_u64(sub.graph().max_degree()) > star_bound {
-                return Err(AlgoError::InvariantViolated {
-                    reason: format!(
-                        "class star size {} exceeds ⌈Δ/t⌉ = {star_bound}",
-                        sub.graph().max_degree()
-                    ),
-                });
-            }
-            let (colors, palette, s) = stage(sub.graph(), t, x - 1, cfg, adaptive_t)?;
-            Ok(Some((sub, colors, palette, s)))
-        })
-        .collect();
-
-    let mut children = Vec::new();
-    for o in outcomes {
-        if let Some(c) = o? {
-            children.push(c);
-        }
-    }
-    let inner_palette = children.iter().map(|&(_, _, p, _)| p).max().unwrap_or(1);
-    let mut out = vec![0 as Color; g.num_edges()];
-    for (sub, colors, _, _) in &children {
-        for (local, &c) in colors.iter().enumerate() {
-            let parent = sub.to_parent_edge(EdgeId::new(local));
-            let phi_color = phi.color(parent); // connector edge id == parent edge id
-            let combined = u64::from(phi_color) * inner_palette + u64::from(c);
-            out[parent.index()] =
-                u32::try_from(combined).map_err(|_| AlgoError::InvariantViolated {
-                    reason: "combined color exceeds u32".into(),
-                })?;
-        }
-    }
-    stats = stats.then(NetworkStats::in_parallel(
-        children.iter().map(|&(_, _, _, s)| s),
     ));
     Ok((out, target_conn * inner_palette, stats))
 }

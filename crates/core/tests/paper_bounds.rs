@@ -14,7 +14,7 @@
 //! trips the suite.
 
 use decolor_core::analysis;
-use decolor_core::arboricity::{theorem52, theorem53, theorem54};
+use decolor_core::arboricity::{corollary55, theorem52, theorem53, theorem54};
 use decolor_core::cd_coloring::{cd_coloring, cd_edge_coloring_spilled, CdParams};
 use decolor_core::delta_plus_one::SubroutineConfig;
 use decolor_core::linial::{final_palette_bound, linial_coloring};
@@ -110,6 +110,9 @@ fn star_partition_palette_and_rounds_within_bounds() {
     }
 }
 
+/// Bounded-arboricity workloads with their arboricity bound `a`. The
+/// two preferential-attachment rows (each vertex attaches `a` edges) are
+/// the heavy-tailed ones: Δ reaches 156 against a ≤ 3.
 fn arboricity_grid() -> Vec<(Graph, usize)> {
     vec![
         (generators::forest_union(512, 2, 8, 1).unwrap(), 2),
@@ -117,6 +120,8 @@ fn arboricity_grid() -> Vec<(Graph, usize)> {
         (generators::forest_union(1024, 4, 8, 3).unwrap(), 4),
         (generators::grid(40, 40).unwrap(), 2),
         (generators::random_tree(1500, 4).unwrap(), 1),
+        (generators::barabasi_albert(4096, 2, 1).unwrap(), 2),
+        (generators::barabasi_albert(2048, 3, 2).unwrap(), 3),
     ]
 }
 
@@ -191,6 +196,34 @@ fn theorem54_palette_and_rounds_within_bounds() {
                 res.stats.rounds
             );
         }
+    }
+}
+
+/// Corollary 5.5 runs Theorem 5.4 with the (x, q) it chooses, so its
+/// palette and rounds answer to Theorem 5.4's bounds at that (x, q).
+#[test]
+fn corollary55_palette_and_rounds_within_bounds() {
+    for (g, a) in arboricity_grid() {
+        let n = g.num_vertices();
+        let (res, p) = corollary55(&g, a, SubroutineConfig::default()).unwrap();
+        assert!(res.coloring.is_proper(&g));
+        let x = p.x as u32;
+        let bound = analysis::theorem54_palette(g.max_degree() as u64, a as u64, p.q, x);
+        assert!(
+            res.coloring.palette() <= bound,
+            "n = {n}, a = {a} (x = {x}, q = {}): palette {} exceeds \
+             (Δ^(1/x)+â^(1/x)+3)^x bound {bound}",
+            p.q,
+            res.coloring.palette()
+        );
+        let shape = analysis::theorem54_time(a as u64, p.q, x, n as u64);
+        let round_bound = (T54_ROUND_SLACK * shape).ceil() as u64;
+        assert!(
+            res.stats.rounds <= round_bound,
+            "n = {n}, a = {a} (x = {x}, q = {}): {} rounds exceed shape bound {round_bound}",
+            p.q,
+            res.stats.rounds
+        );
     }
 }
 

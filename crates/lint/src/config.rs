@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn tests_and_fixtures_are_out_of_scope() {
-        assert!(rules_for("crates/core/tests/view_equivalence.rs").is_none());
+        assert!(rules_for("crates/core/tests/crossing_merge_golden.rs").is_none());
         assert!(rules_for("examples/quickstart.rs").is_none());
     }
 }
